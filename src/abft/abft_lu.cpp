@@ -22,7 +22,8 @@ AbftLu::AbftLu(Matrix a, std::size_t nb, ProcessGrid grid)
   wfrozen_cs_ = Matrix::zeros(active_cs_.rows(), active_cs_.cols());
 }
 
-void AbftLu::factor(const std::vector<Fault>& faults) {
+void AbftLu::factor(const std::vector<Fault>& faults,
+                    const StepObserver& after_step) {
   recovery_ = RecoveryStats{};
   std::size_t next_fault = 0;
   for (std::size_t k = 0; k <= nbk_; ++k) {
@@ -39,6 +40,7 @@ void AbftLu::factor(const std::vector<Fault>& faults) {
       recover_rank(k, faults[next_fault].dead_rank);
     if (k == nbk_) break;
     step(k);
+    if (after_step) after_step(k + 1);
   }
   ABFTC_REQUIRE(next_fault == faults.size(),
                 "faults must be sorted by step and within range");
@@ -49,7 +51,11 @@ void AbftLu::step(std::size_t k) {
   const std::size_t off = k * nb_;
   const std::size_t rest = n - off - nb_;
   const std::size_t g = k / grid_.prows;
-  const std::size_t csr = active_cs_.rows();
+  // Live active-accumulator rows [lo, csr): the fully frozen groups below
+  // lo (this step's pivot group too, when k is its last member) hold only
+  // drained rounding noise and skip the trsm and the GEMM.
+  const std::size_t lo = live_checksum_row(k, grid_.prows, nb_);
+  const std::size_t live = active_cs_.rows() - lo;
 
   // The pivot block row's weight inside its checksum group. Every operation
   // below is linear in rows, so the weighted accumulators stay consistent by
@@ -77,8 +83,8 @@ void AbftLu::step(std::size_t k) {
   //     checksums receive the identical transformation.
   if (rest > 0)
     trsm_right_upper(diag, a_.block(off + nb_, off, rest, nb_));
-  trsm_right_upper(diag, active_cs_.block(0, off, csr, nb_));
-  trsm_right_upper(diag, wactive_cs_.block(0, off, csr, nb_));
+  trsm_right_upper(diag, active_cs_.block(lo, off, live, nb_));
+  trsm_right_upper(diag, wactive_cs_.block(lo, off, live, nb_));
 
   // (d) Trailing update A(i>k, j>k) -= A(i>k, k) · A(k, j>k), applied to the
   //     payload and to the active checksums alike.
@@ -86,12 +92,12 @@ void AbftLu::step(std::size_t k) {
     gemm_sub(a_.block(off + nb_, off, rest, nb_),
              a_.block(off, off + nb_, nb_, rest),
              a_.block(off + nb_, off + nb_, rest, rest));
-    gemm_sub(active_cs_.block(0, off, csr, nb_),
+    gemm_sub(active_cs_.block(lo, off, live, nb_),
              a_.block(off, off + nb_, nb_, rest),
-             active_cs_.block(0, off + nb_, csr, rest));
-    gemm_sub(wactive_cs_.block(0, off, csr, nb_),
+             active_cs_.block(lo, off + nb_, live, rest));
+    gemm_sub(wactive_cs_.block(lo, off, live, nb_),
              a_.block(off, off + nb_, nb_, rest),
-             wactive_cs_.block(0, off + nb_, csr, rest));
+             wactive_cs_.block(lo, off + nb_, live, rest));
   }
 
   // Freeze the finalized pivot block row into the frozen accumulators.

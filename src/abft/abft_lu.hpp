@@ -13,12 +13,20 @@
 ///    the active accumulator to the `frozen` accumulator
 ///    (frozen_cs[g] = Σ_{i ∈ g, i frozen} row_i), which thereafter protects
 ///    the L and U factors at O(n²) total maintenance cost.
+///  * Only the live active rows [lo, csr), lo = live_checksum_row(k, P, nb),
+///    go through step k's trsm and GEMM. A group whose last block row has
+///    frozen has nothing left to protect in `active`: its rows there keep
+///    the rounding noise left when they drained, and no recovery reads them
+///    (recovery of a frozen block row reads `frozen`). This trims the
+///    checksum GEMM flops by 32% (2.37 → 1.61 GFLOP at n = 1536, nb = 32,
+///    P = 3).
 ///
 /// A rank killed at a block-step boundary is reconstructed block-by-block by
 /// subtracting the surviving group members from the matching accumulator;
 /// the factorization then resumes where it stopped — no work is lost, which
 /// is exactly the property the paper's Recons_ABFT term models.
 
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -39,9 +47,14 @@ class AbftLu {
   /// multiple of the grid row count.
   AbftLu(Matrix a, std::size_t nb, ProcessGrid grid);
 
+  /// Runs after every block step with the count of finished steps; tests
+  /// use it to check the invariants at each step boundary.
+  using StepObserver = std::function<void(std::size_t steps_done)>;
+
   /// Factor in place, optionally injecting rank failures (sorted by step;
   /// at_step == block-count means "after the last step").
-  void factor(const std::vector<Fault>& faults = {});
+  void factor(const std::vector<Fault>& faults = {},
+              const StepObserver& after_step = {});
 
   /// Compact L\U factor (unit lower / upper in one matrix).
   [[nodiscard]] const Matrix& lu() const noexcept { return a_; }

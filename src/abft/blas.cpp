@@ -1,6 +1,12 @@
 #include "abft/blas.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
+
+#if defined(__AVX512F__) || defined(__AVX2__)
+#include <immintrin.h>
+#endif
 
 namespace abftc::abft {
 
@@ -23,17 +29,118 @@ bool use_blocked() noexcept {
   return kernel_policy().path == KernelPath::blocked;
 }
 
+// The row-parallel lanes of small_trsm_right_upper: one double per lane, as
+// wide as the ISA allows (plain scalar without AVX). Two update forms,
+// s − x·u: `sub_mul` rounds the product, then the difference; `sub_fma`
+// rounds once where the target has FMA and falls back to sub_mul elsewhere.
+// C++ builds default to -ffp-contract=fast, under which GCC would fuse an
+// intrinsic mul into the following sub; the empty asm pins the rounded
+// product in a register so sub_mul stays unfused.
+#if defined(__AVX512F__)
+using Lanes = __m512d;
+constexpr std::size_t kLanes = 8;
+inline Lanes lanes_load(const double* p) { return _mm512_loadu_pd(p); }
+inline void lanes_store(double* p, Lanes v) { _mm512_storeu_pd(p, v); }
+inline Lanes lanes_set1(double v) { return _mm512_set1_pd(v); }
+inline Lanes lanes_div(Lanes a, Lanes b) { return _mm512_div_pd(a, b); }
+inline Lanes lanes_sub_mul(Lanes s, Lanes x, Lanes u) {
+  Lanes prod = _mm512_mul_pd(x, u);
+  __asm__("" : "+v"(prod));
+  return _mm512_sub_pd(s, prod);
+}
+inline Lanes lanes_sub_fma(Lanes s, Lanes x, Lanes u) {
+  return _mm512_fnmadd_pd(x, u, s);
+}
+#elif defined(__AVX2__)
+using Lanes = __m256d;
+constexpr std::size_t kLanes = 4;
+inline Lanes lanes_load(const double* p) { return _mm256_loadu_pd(p); }
+inline void lanes_store(double* p, Lanes v) { _mm256_storeu_pd(p, v); }
+inline Lanes lanes_set1(double v) { return _mm256_set1_pd(v); }
+inline Lanes lanes_div(Lanes a, Lanes b) { return _mm256_div_pd(a, b); }
+inline Lanes lanes_sub_mul(Lanes s, Lanes x, Lanes u) {
+  Lanes prod = _mm256_mul_pd(x, u);
+  __asm__("" : "+x"(prod));
+  return _mm256_sub_pd(s, prod);
+}
+inline Lanes lanes_sub_fma(Lanes s, Lanes x, Lanes u) {
+#if defined(__FMA__)
+  return _mm256_fnmadd_pd(x, u, s);
+#else
+  return lanes_sub_mul(s, x, u);
+#endif
+}
+#else
+using Lanes = double;
+constexpr std::size_t kLanes = 1;
+inline Lanes lanes_load(const double* p) { return *p; }
+inline void lanes_store(double* p, Lanes v) { *p = v; }
+inline Lanes lanes_set1(double v) { return v; }
+inline Lanes lanes_div(Lanes a, Lanes b) { return a / b; }
+inline Lanes lanes_sub_mul(Lanes s, Lanes x, Lanes u) {
+  Lanes prod = x * u;
+#if defined(__FMA__)
+  __asm__("" : "+x"(prod));
+#endif
+  return s - prod;
+}
+inline Lanes lanes_sub_fma(Lanes s, Lanes x, Lanes u) {
+#if defined(__FMA__)
+  return std::fma(-x, u, s);
+#else
+  return lanes_sub_mul(s, x, u);
+#endif
+}
+#endif
+
 void small_trsm_right_upper(ConstMatrixView u, MatrixView b) {
   const std::size_t n = u.rows();
-  // Solve X·U = B row by row: x_j = (b_j − Σ_{p<j} x_p u_pj) / u_jj.
-  for (std::size_t i = 0; i < b.rows(); ++i)
+  const std::size_t m = b.rows();
+  if (m == 0) return;
+  for (std::size_t j = 0; j < n; ++j)
+    ABFTC_CHECK(std::fabs(u(j, j)) > kPivotTiny, "singular triangular factor");
+  // Solve X·U = B: x_j = (b_j − Σ_{p<j} x_p u_pj) / u_jj, subtracting in p
+  // order. Rows are independent, so a block of two lane groups (2·kLanes
+  // rows, zero-padded at the tail) is transposed into x[j·kBlock + row] and
+  // solved at once, one row per lane: two independent dependency chains per
+  // column instead of one serial chain per row.
+  //
+  // Every element rounds exactly as the row-by-row loop this replaced did
+  // under GCC, whose vectorizer computed the products two p at a time and
+  // subtracted them unfused, contracting only an odd last term into an FMA
+  // (when the target had one): so p < 2⌊j/2⌋ use sub_mul, p = j − 1 for
+  // odd j uses sub_fma. Factors stay bitwise equal across the change.
+  constexpr std::size_t kBlock = 2 * kLanes;
+  thread_local std::vector<double> scratch;
+  scratch.resize(n * kBlock);
+  double* const x = scratch.data();
+  for (std::size_t i0 = 0; i0 < m; i0 += kBlock) {
+    const std::size_t rows = std::min(kBlock, m - i0);
+    for (std::size_t r = 0; r < kBlock; ++r)
+      for (std::size_t j = 0; j < n; ++j)
+        x[j * kBlock + r] = r < rows ? b(i0 + r, j) : 0.0;
     for (std::size_t j = 0; j < n; ++j) {
-      double s = b(i, j);
-      for (std::size_t p = 0; p < j; ++p) s -= b(i, p) * u(p, j);
-      ABFTC_CHECK(std::fabs(u(j, j)) > kPivotTiny,
-                  "singular triangular factor");
-      b(i, j) = s / u(j, j);
+      double* const xj = x + j * kBlock;
+      Lanes s0 = lanes_load(xj);
+      Lanes s1 = lanes_load(xj + kLanes);
+      const std::size_t paired = j & ~std::size_t{1};
+      for (std::size_t p = 0; p < paired; ++p) {
+        const Lanes upj = lanes_set1(u(p, j));
+        s0 = lanes_sub_mul(s0, lanes_load(x + p * kBlock), upj);
+        s1 = lanes_sub_mul(s1, lanes_load(x + p * kBlock + kLanes), upj);
+      }
+      if (paired != j) {
+        const Lanes upj = lanes_set1(u(paired, j));
+        s0 = lanes_sub_fma(s0, lanes_load(x + paired * kBlock), upj);
+        s1 = lanes_sub_fma(s1, lanes_load(x + paired * kBlock + kLanes), upj);
+      }
+      const Lanes ujj = lanes_set1(u(j, j));
+      lanes_store(xj, lanes_div(s0, ujj));
+      lanes_store(xj + kLanes, lanes_div(s1, ujj));
     }
+    for (std::size_t r = 0; r < rows; ++r)
+      for (std::size_t j = 0; j < n; ++j) b(i0 + r, j) = x[j * kBlock + r];
+  }
 }
 
 void small_trsm_left_lower_unit(ConstMatrixView l, MatrixView b) {

@@ -31,6 +31,18 @@ class unrecoverable_error : public std::runtime_error {
 /// Number of row groups for an nbr-block-row matrix with group size P.
 [[nodiscard]] std::size_t group_count(std::size_t blocks, std::size_t group);
 
+/// First live row of an LU active accumulator during block step k: the
+/// groups below it have no active block row left once step k's pivot row
+/// leaves, so rows [0, lo) hold only drained rounding noise and the step's
+/// trsm and GEMM run on rows [lo, csr) only. The serial AbftLu step and the
+/// dist worker phases share this bound, which keeps their accumulators in
+/// lockstep.
+[[nodiscard]] constexpr std::size_t live_checksum_row(std::size_t k,
+                                                      std::size_t group,
+                                                      std::size_t nb) noexcept {
+  return (k + 1) / group * nb;
+}
+
 /// Build row-group checksums: result has group_count(nbr, group) block rows
 /// of nb rows each; cs[g] = Σ_{bi ∈ group g} A[bi, :].
 /// Requires a.rows() divisible by nb and nbr divisible by group.

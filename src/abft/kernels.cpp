@@ -19,12 +19,14 @@ namespace {
 
 KernelPolicy g_policy{};
 
-// Blocking parameters (doubles): the packed A panel (kMc × kKc) targets L2,
-// the packed B panel (kKc × kNc) streams through L3, and the register tile
-// is sized to keep the micro-kernel FMA-bound on the widest ISA available:
-// 8 × 16 in zmm registers (16 accumulators of 32) with AVX-512, 6 × 8 in
-// ymm registers (12 accumulators of 16, the classic AVX2 dgemm shape)
-// otherwise.
+// Blocking parameters (doubles): each MR × kKc micro-panel of the packed A
+// panel stays in L1 while it sweeps the packed B panel (kKc × kNc, 1.5 MiB
+// with AVX-512, 2 MiB otherwise), which kNc keeps L2-resident on a 2 MiB
+// per-core L2 — the C-row-streaming order below re-reads B once per A
+// micro-panel. The register tile is sized to keep the micro-kernel
+// FMA-bound on the widest ISA available: 8 × 16 in zmm registers (16
+// accumulators of 32) with AVX-512, 6 × 8 in ymm registers (12 accumulators
+// of 16, the classic AVX2 dgemm shape) otherwise.
 #if defined(__AVX512F__)
 constexpr std::size_t kMr = 8;
 constexpr std::size_t kNr = 16;
@@ -36,7 +38,7 @@ constexpr std::size_t kNr = 8;
 constexpr std::size_t kMc = 96;
 constexpr std::size_t kKc = 256;
 #endif
-constexpr std::size_t kNc = 2048;
+constexpr std::size_t kNc = 1024;
 
 // Below this flop count the packing overhead beats the cache savings and the
 // dispatcher keeps the reference loops.
@@ -532,14 +534,20 @@ void blocked_gemm(double alpha, ConstMatrixView a, Trans ta, ConstMatrixView b,
             if (replicas)
               bpanel = replicas->panel_for(
                   common::Executor::current_numa_node(), bpack.data());
-            for (std::size_t jr = 0; jr < nc; jr += kNr) {
-              const std::size_t nr = std::min(kNr, nc - jr);
-              const double* bp = bpanel + (jr / kNr) * pc * kNr;
-              for (std::size_t ir = 0; ir < mc; ir += kMr) {
-                const std::size_t mr = std::min(kMr, mc - ir);
-                micro_kernel(pc, apack + (ir / kMr) * pc * kMr, bp,
-                             &c(i0 + ir, jc + jr), c.ld(), mr, nr, pass_beta);
-              }
+            // C-row streaming: each MR-row micro-panel of A (L1-resident)
+            // sweeps the full nc width, so C is walked row block by row
+            // block, left to right, as the prefetcher likes it. For the
+            // rank-nb updates LU issues (K ≤ kc, one pass), touching C is
+            // all the GEMM does; a column-strip order would instead jump
+            // ldc·8 bytes per C row and miss a fresh page on most of them.
+            for (std::size_t ir = 0; ir < mc; ir += kMr) {
+              const std::size_t mr = std::min(kMr, mc - ir);
+              const double* ap = apack + (ir / kMr) * pc * kMr;
+              double* crow = &c(i0 + ir, jc);
+              for (std::size_t jr = 0; jr < nc; jr += kNr)
+                micro_kernel(pc, ap, bpanel + (jr / kNr) * pc * kNr,
+                             crow + jr, c.ld(), mr, std::min(kNr, nc - jr),
+                             pass_beta);
             }
           },
           threads, dispatch);

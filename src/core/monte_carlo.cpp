@@ -1,7 +1,7 @@
 #include "core/monte_carlo.hpp"
 
+#include <algorithm>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/error.hpp"
@@ -11,6 +11,10 @@
 namespace abftc::core {
 
 namespace {
+
+// Replicate chunks per monte_carlo call: enough to balance 4–16 workers,
+// few enough that the per-chunk slots and the serial fold stay negligible.
+constexpr std::size_t kReplicateChunks = 64;
 
 std::unique_ptr<sim::InterArrival> make_distribution(
     const MonteCarloOptions& opt, double mean) {
@@ -55,24 +59,24 @@ MonteCarloResult monte_carlo(Protocol p, const ScenarioParams& s,
   }
 
   const common::Rng base(opt.seed);
-  std::mutex merge_mutex;
   // Preallocated disjoint slots: replicate `rep` writes waste_sample[rep]
   // and nothing else, so the stored sample is deterministic regardless of
   // how chunks land on workers (no merge order to get wrong).
   if (opt.collect_waste_sample) out.waste_sample.resize(opt.replicates);
 
-  // Chunk replicates so each worker merges locally before taking the lock.
-  const unsigned workers = common::effective_threads(opt.threads);
-  const std::size_t chunks = std::max<std::size_t>(workers * 4, 1);
+  // A fixed chunking (never derived from the worker count), one result slot
+  // per chunk, folded serially in chunk order after the loop: the stats are
+  // bitwise identical for every thread count and every schedule.
+  const std::size_t chunks = std::min(kReplicateChunks, opt.replicates);
   const std::size_t per_chunk = (opt.replicates + chunks - 1) / chunks;
+  std::vector<MonteCarloResult> slots(chunks);
 
   common::parallel_for(
       chunks,
       [&](std::size_t chunk) {
         const std::size_t lo = chunk * per_chunk;
         const std::size_t hi = std::min(lo + per_chunk, opt.replicates);
-        if (lo >= hi) return;
-        MonteCarloResult local;
+        MonteCarloResult& local = slots[chunk];
         for (std::size_t rep = lo; rep < hi; ++rep) {
           auto clock = make_clock(s, opt, base.split(rep));
           const SimResult r = simulate_run(s, plan, *clock);
@@ -82,13 +86,14 @@ MonteCarloResult monte_carlo(Protocol p, const ScenarioParams& s,
           local.lost_time.add(r.breakdown.lost);
           if (opt.collect_waste_sample) out.waste_sample[rep] = r.waste();
         }
-        std::lock_guard lock(merge_mutex);
-        out.waste.merge(local.waste);
-        out.t_final.merge(local.t_final);
-        out.failures.merge(local.failures);
-        out.lost_time.merge(local.lost_time);
       },
       opt.threads);
+  for (const MonteCarloResult& local : slots) {
+    out.waste.merge(local.waste);
+    out.t_final.merge(local.t_final);
+    out.failures.merge(local.failures);
+    out.lost_time.merge(local.lost_time);
+  }
   return out;
 }
 

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "abft/blas.hpp"
+#include "abft/checksum.hpp"
 #include "abft/kernels.hpp"
 #include "common/error.hpp"
 
@@ -91,8 +92,9 @@ void panel_phase(const SharedState& s, std::size_t k) {
   abft::getf2_nopiv(diag);
 
   if (rest > 0) abft::trsm_right_upper(diag, a.block(off + nb, off, rest, nb));
-  abft::trsm_right_upper(diag, active.block(0, off, lay.csr, nb));
-  abft::trsm_right_upper(diag, wactive.block(0, off, lay.csr, nb));
+  const std::size_t lo = abft::live_checksum_row(k, lay.group, nb);
+  abft::trsm_right_upper(diag, active.block(lo, off, lay.csr - lo, nb));
+  abft::trsm_right_upper(diag, wactive.block(lo, off, lay.csr - lo, nb));
 }
 
 void update_phase(const SharedState& s, std::size_t rank, std::size_t k) {
@@ -107,6 +109,8 @@ void update_phase(const SharedState& s, std::size_t rank, std::size_t k) {
   abft::MatrixView wactive = s.wactive_cs();
   abft::MatrixView wfrozen = s.wfrozen_cs();
   const abft::ConstMatrixView diag = a.block(off, off, nb, nb);
+  const std::size_t lo = abft::live_checksum_row(k, lay.group, nb);
+  const std::size_t live = lay.csr - lo;
 
   for (std::size_t j = rank; j < lay.nbk; j += lay.nranks) {
     const std::size_t jc = j * nb;
@@ -124,10 +128,10 @@ void update_phase(const SharedState& s, std::size_t rank, std::size_t k) {
         const std::size_t rest = lay.n - off - nb;
         abft::gemm_sub(a.block(off + nb, off, rest, nb), u,
                        a.block(off + nb, jc, rest, nb));
-        abft::gemm_sub(active.block(0, off, lay.csr, nb), u,
-                       active.block(0, jc, lay.csr, nb));
-        abft::gemm_sub(wactive.block(0, off, lay.csr, nb), u,
-                       wactive.block(0, jc, lay.csr, nb));
+        abft::gemm_sub(active.block(lo, off, live, nb), u,
+                       active.block(lo, jc, live, nb));
+        abft::gemm_sub(wactive.block(lo, off, live, nb), u,
+                       wactive.block(lo, jc, live, nb));
       }
     }
     // Freeze the finalized pivot row values of this column block.

@@ -26,6 +26,12 @@
 ///               accumulator, then freezes the finalized pivot row into the
 ///               frozen accumulator.
 ///
+/// Both phases touch the active accumulators' trsm and GEMM rows only in the
+/// live range [lo, csr), lo = abft::live_checksum_row(k, group, nb): groups
+/// below lo have frozen completely and their active rows hold drained noise
+/// nobody reads. AbftLu::step trims by the same bound, so the two stay in
+/// lockstep element by element.
+///
 /// Per matrix column the operation sequence and operand values are
 /// identical to the serial AbftLu step (each GEMM dot product runs over the
 /// same nb-length inner dimension in the same order), so a clean

@@ -1,8 +1,11 @@
 #pragma once
 /// \file engine.hpp
 /// Minimal discrete-event simulation engine: a clock plus an EventQueue.
-/// The composite runtime (src/core/runtime.hpp) runs on this engine; the
-/// figure-level simulators use the lighter segment-walk primitives instead.
+/// Its only consumer is the event-driven periodic executor (des_periodic.hpp),
+/// which tests and bench/micro_sim exercise. The figure simulators use the
+/// lighter segment-walk primitives instead, and the composite runtime
+/// (src/core/runtime.hpp) keeps its own logical clock (CompositeRuntime::tick)
+/// without an event queue.
 
 #include "sim/event_queue.hpp"
 

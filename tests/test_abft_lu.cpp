@@ -61,6 +61,23 @@ TEST(AbftLu, WeightedAccumulatorsTrackTheFactorization) {
   EXPECT_LT(lu.weighted_active_cs().max_abs(), 1e-6);
 }
 
+// The step trims the active accumulators to the live rows [lo, csr). The
+// invariants must hold at every step boundary, for every group size —
+// including the steps that freeze a group's last block row.
+TEST(AbftLu, ChecksumInvariantHoldsAtEveryStepBoundary) {
+  for (const std::size_t prows : {2u, 3u, 4u}) {
+    const std::size_t nb = 8, n = nb * prows * 3;
+    AbftLu lu(test_matrix(n), nb, ProcessGrid{prows, 2});
+    std::size_t boundaries = 0;
+    lu.factor({}, [&](std::size_t steps_done) {
+      EXPECT_EQ(steps_done, ++boundaries);
+      EXPECT_LT(lu.checksum_residual(), 1e-6)
+          << "P=" << prows << " after step " << steps_done;
+    });
+    EXPECT_EQ(boundaries, lu.block_steps());
+  }
+}
+
 TEST(AbftLu, SolvesLinearSystems) {
   const std::size_t n = 64;
   const Matrix a = test_matrix(n);
@@ -97,6 +114,39 @@ INSTANTIATE_TEST_SUITE_P(
     StepsAndRanks, AbftLuFaultTest,
     ::testing::Combine(::testing::Values(0u, 1u, 3u, 6u, 11u, 12u),
                        ::testing::Values(0u, 2u, 5u)));
+
+// Rank kills on both sides of a group's freeze: before step k with
+// k % P == P − 1 the group still has one active block row (its live rows are
+// read by recovery); before step k with k % P == 0 the group has just frozen
+// and its active rows were dropped from the trsm/GEMM one step earlier.
+class AbftLuFreezeEdgeTest
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
+
+TEST_P(AbftLuFreezeEdgeTest, RecoversOnBothSidesOfAGroupFreeze) {
+  const auto [prows, group] = GetParam();
+  const std::size_t nb = 8, n = nb * prows * 3;
+  const Matrix a = test_matrix(n);
+  const ProcessGrid grid{prows, 2};
+  for (const std::size_t step : {group * prows + prows - 1,
+                                 (group + 1) * prows}) {
+    for (std::size_t rank = 0; rank < grid.size(); ++rank) {
+      AbftLu lu(a, nb, grid);
+      lu.factor({{step, rank}}, [&](std::size_t steps_done) {
+        EXPECT_LT(lu.checksum_residual(), 1e-6)
+            << "P=" << prows << " kill at step " << step << " rank " << rank
+            << ", after step " << steps_done;
+      });
+      EXPECT_EQ(lu.recovery().recoveries, 1u);
+      EXPECT_GT(lu.recovery().blocks_recovered, 0u);
+      EXPECT_LT(abft::relative_error(lu.reconstruct_product(), a), 1e-9)
+          << "P=" << prows << " kill at step " << step << " rank " << rank;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(GroupSizes, AbftLuFreezeEdgeTest,
+                         ::testing::Combine(::testing::Values(2u, 3u, 4u),
+                                            ::testing::Values(0u, 1u)));
 
 TEST(AbftLu, RecoversFromTwoFaultsAtDifferentSteps) {
   const std::size_t n = 96, nb = 8;

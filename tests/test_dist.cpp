@@ -441,6 +441,72 @@ TEST(DistLauncher, WeightedAccumulatorsAreBitwiseAcrossRankCounts) {
             0.0);
 }
 
+// The worker phases trim the active accumulators' trsm/GEMM rows to the
+// live range [lo, csr), in lockstep with AbftLu::step. A blind run verifies
+// the invariant at every step boundary, so a clean blind run that never
+// reconstructs or escalates proves every boundary stayed below the
+// detection floor — for each group size, freeze steps included.
+TEST(DistLauncher, LiveRowTrimKeepsEveryBoundaryClean) {
+  for (const std::size_t group : {2u, 3u, 4u}) {
+    DistConfig cfg = small_config();
+    cfg.nb = 8;  // 12 block steps: a multiple of every group size here
+    cfg.group = group;
+    cfg.blind = true;
+    const auto backend = ckpt::io::make_backend("memory");
+    Launcher launcher(cfg, *backend);
+    const RunReport report = launcher.run();
+    EXPECT_TRUE(report.completed) << "group=" << group;
+    EXPECT_EQ(report.reconstructions, 0u) << "group=" << group;
+    EXPECT_EQ(report.escalations, 0u) << "group=" << group;
+    EXPECT_EQ(report.restores, 0u) << "group=" << group;
+    EXPECT_LT(report.residual, 1e-8) << "group=" << group;
+
+    common::Rng rng(cfg.seed);
+    abft::AbftLu serial(abft::Matrix::diag_dominant(cfg.n, rng), cfg.nb,
+                        abft::ProcessGrid{cfg.group, 1});
+    serial.factor();
+    EXPECT_LT(abft::max_abs_diff(launcher.weighted_active_cs(),
+                                 serial.weighted_active_cs()),
+              1e-8)
+        << "group=" << group;
+    EXPECT_LT(abft::max_abs_diff(launcher.weighted_frozen_cs(),
+                                 serial.weighted_frozen_cs()),
+              1e-8)
+        << "group=" << group;
+  }
+}
+
+// Rank kills right before the step that freezes a group's last block row
+// (k % group == group − 1) and right after it (k % group == 0): restore +
+// replay must reproduce the clean run bitwise on both sides of the trim.
+TEST(DistLauncher, KillRecoversOnBothSidesOfAGroupFreeze) {
+  for (const std::size_t group : {2u, 3u, 4u}) {
+    DistConfig cfg = small_config();
+    cfg.nb = 8;
+    cfg.group = group;
+    cfg.blind = true;
+    const auto clean_backend = ckpt::io::make_backend("memory");
+    Launcher clean(cfg, *clean_backend);
+    (void)clean.run();
+    for (const std::size_t step : {2 * group - 1, 2 * group}) {
+      const auto backend = ckpt::io::make_backend("memory");
+      Launcher injected(cfg, *backend);
+      const RunReport report =
+          injected.run({{FaultKind::Kill, step, step % cfg.ranks}});
+      EXPECT_TRUE(report.completed) << "group=" << group << " step=" << step;
+      EXPECT_EQ(report.restores, 1u) << "group=" << group << " step=" << step;
+      EXPECT_EQ(report.respawns, 1u) << "group=" << group << " step=" << step;
+      EXPECT_LT(report.residual, 1e-8);
+      EXPECT_EQ(abft::max_abs_diff(injected.lu(), clean.lu()), 0.0)
+          << "group=" << group << " step=" << step;
+      EXPECT_EQ(abft::max_abs_diff(injected.weighted_active_cs(),
+                                   clean.weighted_active_cs()),
+                0.0)
+          << "group=" << group << " step=" << step;
+    }
+  }
+}
+
 TEST(DistLauncher, BlindFlipIsLocatedAndReconstructed) {
   DistConfig cfg = small_config();
   cfg.blind = true;  // verify at every boundary; no injection-timing hints

@@ -184,6 +184,43 @@ TEST(BlockedGemm, DeterministicAcrossThreadCounts) {
   EXPECT_EQ(abft::max_abs_diff(c1, c8), 0.0);
 }
 
+// The tile order streams C along rows: each MR-row micro-panel sweeps the
+// whole nc width before the next one starts. Ragged edges on both tile
+// axes, several ic panels and jc blocks, K on both sides of kc and all three
+// β paths of the epilogue: bitwise equal across worker counts, equal to the
+// reference loops to rounding.
+TEST(BlockedGemm, RowStreamingTileOrderOnRaggedShapes) {
+  const struct {
+    std::size_t m, n, k;
+  } shapes[] = {{13, 17, 32},     // one partial tile, K below kc
+                {131, 45, 150},   // two ic panels, ragged tiles
+                {257, 1050, 40},  // three ic panels, two jc blocks
+                {77, 203, 520}};  // K above kc: three kc passes
+  for (const auto& sh : shapes) {
+    const Matrix a = random_matrix(sh.m, sh.k, 501 + sh.m);
+    const Matrix b = random_matrix(sh.k, sh.n, 503 + sh.n);
+    const Matrix c0 = random_matrix(sh.m, sh.n, 505 + sh.k);
+    for (const double beta : {0.0, 1.0, 0.5}) {
+      Matrix expect = c0;
+      abft::naive_gemm(-1.0, a.view(), Trans::No, b.view(), Trans::No, beta,
+                       expect.view());
+      Matrix c1 = c0;
+      abft::blocked_gemm(-1.0, a.view(), Trans::No, b.view(), Trans::No, beta,
+                         c1.view(), 1);
+      EXPECT_LT(abft::max_abs_diff(expect, c1), kTol)
+          << sh.m << "x" << sh.n << "x" << sh.k << " beta=" << beta;
+      for (const unsigned threads : {2u, 4u}) {
+        Matrix ct = c0;
+        abft::blocked_gemm(-1.0, a.view(), Trans::No, b.view(), Trans::No,
+                           beta, ct.view(), threads);
+        EXPECT_EQ(abft::max_abs_diff(c1, ct), 0.0)
+            << sh.m << "x" << sh.n << "x" << sh.k << " beta=" << beta
+            << " threads=" << threads;
+      }
+    }
+  }
+}
+
 // NUMA placement must never change results: run the same GEMM with pinning
 // off, then with pinning on under a fake two-node topology (so the per-node
 // B-replication path executes even on single-node CI), at several thread
@@ -276,6 +313,41 @@ TEST(BlockedTrsm, RightUpperMatchesNaive) {
     abft::trsm_right_upper(u.view(), b_blocked.view());
   }
   EXPECT_LT(abft::max_abs_diff(b_naive, b_blocked), kTol);
+}
+
+// The small right-upper solve runs several rows at once, one per SIMD
+// lane, zero-padding the last block. Rows are independent, so solving a row
+// alone (lane 0 of an otherwise padded block) must give the same bits as
+// solving it inside any block, for row counts on and off the lane width.
+TEST(BlockedTrsm, RightUpperRowsSolveIndependently) {
+  for (const std::size_t n : {1u, 8u, 31u, 64u}) {
+    const Matrix u = upper_factor(n, 33 + n);
+    for (const std::size_t m : {1u, 7u, 16u, 37u}) {
+      const Matrix b0 = random_matrix(m, n, 34 + m);
+      Matrix all = b0;
+      abft::trsm_right_upper(u.view(), all.view());
+      for (std::size_t i = 0; i < m; ++i) {
+        Matrix row = b0;
+        abft::trsm_right_upper(u.view(), row.block(i, 0, 1, n));
+        for (std::size_t j = 0; j < n; ++j)
+          EXPECT_EQ(row(i, j), all(i, j))
+              << "n=" << n << " m=" << m << " at " << i << "," << j;
+      }
+      // Back-substitution check: X·U reproduces B to rounding.
+      Matrix xu(m, n, 0.0);
+      abft::naive_gemm(1.0, all.view(), Trans::No, u.view(), Trans::No, 0.0,
+                       xu.view());
+      EXPECT_LT(abft::max_abs_diff(xu, b0), kTol) << "n=" << n << " m=" << m;
+    }
+  }
+}
+
+TEST(BlockedTrsm, RightUpperRejectsASingularFactor) {
+  Matrix u = upper_factor(12, 35);
+  u(5, 5) = 0.0;
+  Matrix b = random_matrix(9, 12, 36);
+  EXPECT_THROW(abft::trsm_right_upper(u.view(), b.view()),
+               common::invariant_error);
 }
 
 TEST(BlockedTrsm, LeftLowerUnitMatchesNaive) {

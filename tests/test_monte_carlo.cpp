@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "common/time_units.hpp"
 #include "core/monte_carlo.hpp"
 
@@ -26,6 +29,37 @@ TEST(MonteCarlo, ReproducibleAcrossThreadCounts) {
   // per chunking; compare loosely).
   EXPECT_NEAR(ra.waste.mean(), rb.waste.mean(), 1e-12);
   EXPECT_EQ(ra.waste.count(), rb.waste.count());
+}
+
+// Every statistic as exact bytes (hex floats), so any difference in the
+// fold order shows — the served-vs-batch byte identity of sweep rows rests
+// on this.
+std::string stat_bytes(const MonteCarloResult& r) {
+  std::string out;
+  char buf[160];
+  for (const common::RunningStats* st :
+       {&r.waste, &r.t_final, &r.failures, &r.lost_time}) {
+    std::snprintf(buf, sizeof buf, "%zu %a %a %a %a;", st->count(), st->mean(),
+                  st->variance(), st->min(), st->max());
+    out += buf;
+  }
+  return out;
+}
+
+TEST(MonteCarlo, StatsAreBitwiseAcrossThreadCountsAndRepeats) {
+  const auto s = figure7_scenario(minutes(120), 0.8);
+  MonteCarloOptions mc;
+  mc.replicates = 300;  // not a multiple of the chunk count
+  mc.threads = 1;
+  const std::string reference =
+      stat_bytes(monte_carlo(Protocol::AbftPeriodicCkpt, s, {}, mc));
+  for (int repeat = 0; repeat < 3; ++repeat)
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      mc.threads = threads;
+      EXPECT_EQ(stat_bytes(monte_carlo(Protocol::AbftPeriodicCkpt, s, {}, mc)),
+                reference)
+          << "threads=" << threads << " repeat=" << repeat;
+    }
 }
 
 TEST(MonteCarlo, SeedChangesResults) {
