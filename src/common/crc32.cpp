@@ -2,6 +2,13 @@
 
 #include <array>
 
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+#include <immintrin.h>
+#define ABFTC_CRC32_PCLMUL 1
+#else
+#define ABFTC_CRC32_PCLMUL 0
+#endif
+
 namespace abftc::common {
 
 namespace {
@@ -34,12 +41,8 @@ inline std::uint32_t load_le32(const std::byte* p) noexcept {
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
-}  // namespace
-
-std::uint32_t crc32(std::span<const std::byte> data, std::uint32_t seed) {
-  std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  const std::byte* p = data.data();
-  std::size_t n = data.size();
+/// Advance the raw (pre-/post-inversion-free) CRC register over n bytes.
+std::uint32_t slice8(std::uint32_t c, const std::byte* p, std::size_t n) {
   while (n >= 8) {
     c ^= load_le32(p);
     const std::uint32_t hi = load_le32(p + 4);
@@ -51,7 +54,109 @@ std::uint32_t crc32(std::span<const std::byte> data, std::uint32_t seed) {
   }
   for (; n > 0; --n, ++p)
     c = kT[0][(c ^ static_cast<std::uint8_t>(*p)) & 0xFFu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
+  return c;
+}
+
+#if ABFTC_CRC32_PCLMUL
+
+/// Shortest input the fold takes: four 128-bit lanes.
+constexpr std::size_t kFoldMin = 64;
+
+#define ABFTC_PCLMUL_TARGET __attribute__((target("pclmul,sse4.1")))
+
+ABFTC_PCLMUL_TARGET inline __m128i load128(const std::byte* q) noexcept {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(q));
+}
+
+/// x folded forward and added to the next block: x's low qword times k's
+/// low constant, its high qword times k's high one.
+ABFTC_PCLMUL_TARGET inline __m128i fold128(__m128i x, __m128i k,
+                                           __m128i next) noexcept {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                                     _mm_clmulepi64_si128(x, k, 0x11)),
+                       next);
+}
+
+/// Advance the raw CRC register over the first n bytes (n ≥ 64, n a
+/// multiple of 16) by carry-less multiplication (Gopal et al., "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ", Intel 2009). The
+/// constants are the bit-reflected ones for the IEEE polynomial 0xEDB88320,
+/// as in zlib-ng and Linux's crc32-pclmul: k1/k2 = x^(4·128±32) mod P fold
+/// a lane forward by 512 bits, k3/k4 by 128 bits, k5 folds 64 → 32 bits,
+/// and P′/μ drive the final Barrett reduction to the 32-bit register.
+ABFTC_PCLMUL_TARGET std::uint32_t fold_pclmul(std::uint32_t c,
+                                              const std::byte* p,
+                                              std::size_t n) {
+  const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596LL, 0x154442bd4LL);
+  const __m128i k3k4 = _mm_set_epi64x(0x0ccaa009eLL, 0x1751997d0LL);
+  const __m128i k5 = _mm_set_epi64x(0, 0x163cd6124LL);
+  const __m128i poly_mu = _mm_set_epi64x(0x1F7011641LL, 0x1DB710641LL);
+  const __m128i mask32 = _mm_set_epi32(0, 0, 0, -1);
+
+  __m128i x0 =
+      _mm_xor_si128(load128(p), _mm_cvtsi32_si128(static_cast<int>(c)));
+  __m128i x1 = load128(p + 16), x2 = load128(p + 32), x3 = load128(p + 48);
+  p += 64;
+  n -= 64;
+  for (; n >= 64; p += 64, n -= 64) {
+    x0 = fold128(x0, k1k2, load128(p));
+    x1 = fold128(x1, k1k2, load128(p + 16));
+    x2 = fold128(x2, k1k2, load128(p + 32));
+    x3 = fold128(x3, k1k2, load128(p + 48));
+  }
+  // Four lanes into one, then the remaining 16-byte blocks.
+  __m128i x = fold128(x0, k3k4, x1);
+  x = fold128(x, k3k4, x2);
+  x = fold128(x, k3k4, x3);
+  for (; n >= 16; p += 16, n -= 16) x = fold128(x, k3k4, load128(p));
+
+  // 128 → 64 bits (appending the 32 zero bits the CRC definition implies),
+  // then 64 → 32, then Barrett-reduce the 64-bit remainder.
+  x = _mm_xor_si128(_mm_clmulepi64_si128(k3k4, x, 0x01), _mm_srli_si128(x, 8));
+  x = _mm_xor_si128(
+      _mm_clmulepi64_si128(_mm_and_si128(x, mask32), k5, 0x00),
+      _mm_srli_si128(x, 4));
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x, mask32), poly_mu, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, mask32), poly_mu, 0x00);
+  return static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(t, x), 1));
+}
+
+bool cpu_has_pclmul() noexcept {
+  __builtin_cpu_init();  // safe before other static constructors have run
+  return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+}
+
+#endif  // ABFTC_CRC32_PCLMUL
+
+}  // namespace
+
+bool crc32_uses_pclmul() noexcept {
+#if ABFTC_CRC32_PCLMUL
+  static const bool has = cpu_has_pclmul();
+  return has;
+#else
+  return false;
+#endif
+}
+
+std::uint32_t crc32_portable(std::span<const std::byte> data,
+                             std::uint32_t seed) {
+  return slice8(seed ^ 0xFFFFFFFFu, data.data(), data.size()) ^ 0xFFFFFFFFu;
+}
+
+std::uint32_t crc32(std::span<const std::byte> data, std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  const std::byte* p = data.data();
+  std::size_t n = data.size();
+#if ABFTC_CRC32_PCLMUL
+  if (n >= kFoldMin && crc32_uses_pclmul()) {
+    const std::size_t folded = n & ~std::size_t{15};
+    c = fold_pclmul(c, p, folded);
+    p += folded;
+    n -= folded;
+  }
+#endif
+  return slice8(c, p, n) ^ 0xFFFFFFFFu;
 }
 
 namespace {

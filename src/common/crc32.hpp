@@ -1,8 +1,17 @@
 #pragma once
 /// \file crc32.hpp
 /// CRC-32 (IEEE 802.3 polynomial) used to verify checkpoint image integrity.
-/// Implemented with slicing-by-8 (eight bytes per step); identical results
-/// to the classic byte-at-a-time formulation.
+///
+/// On x86 CPUs with PCLMULQDQ, buffers of 64 bytes or more are folded four
+/// 128-bit lanes at a time by carry-less multiplication and Barrett-reduced
+/// to the 32-bit register (Intel's "Fast CRC Computation Using PCLMULQDQ",
+/// the zlib-ng / Linux crc32-pclmul scheme, for the same reflected
+/// 0xEDB88320 polynomial). The fold is selected at run time from the CPU's
+/// feature bits, so portable (non -march=native) builds use it too. Short
+/// buffers, the < 16-byte tail of a folded one, and CPUs without PCLMUL take
+/// the portable slicing-by-8 path (eight bytes per step). Every path yields
+/// the classic byte-at-a-time value, so stored CRCs do not depend on which
+/// one ran.
 ///
 /// Three ways to compute the same value:
 ///  * one-shot:   crc32(data)
@@ -23,6 +32,14 @@ namespace abftc::common {
 /// the previous result.
 [[nodiscard]] std::uint32_t crc32(std::span<const std::byte> data,
                                   std::uint32_t seed = 0);
+
+/// The portable slicing-by-8 computation of crc32(), whatever the CPU: the
+/// reference the folded path is tested and benchmarked against.
+[[nodiscard]] std::uint32_t crc32_portable(std::span<const std::byte> data,
+                                           std::uint32_t seed = 0);
+
+/// True when crc32() folds long buffers with PCLMULQDQ on this CPU.
+[[nodiscard]] bool crc32_uses_pclmul() noexcept;
 
 /// CRC of the concatenation A||B from crc32(A), crc32(B) and |B| alone, in
 /// O(log |B|) GF(2) matrix operations (the zlib crc32_combine construction):

@@ -23,9 +23,11 @@ SharedRegion::SharedRegion(std::size_t bytes) {
     throw dist_error("mmap of " + std::to_string(bytes) +
                      "-byte shared arena failed: " +
                      std::string(std::strerror(errno)));
+  // No memset: an anonymous mapping is zero-filled by the kernel (mmap(2),
+  // MAP_ANONYMOUS: "its contents are initialized to zero"), so clearing it
+  // again would only touch every page once more.
   map_ = map;
   len_ = bytes;
-  std::memset(map_, 0, len_);
 }
 
 SharedRegion::~SharedRegion() {

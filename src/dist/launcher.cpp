@@ -28,18 +28,9 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-std::uint32_t payload_crc(const void* data, std::size_t bytes) {
-  return common::crc32(std::span<const std::byte>(
-      static_cast<const std::byte*>(data), bytes));
+std::span<std::byte> bytes_of(void* data, std::size_t bytes) {
+  return {static_cast<std::byte*>(data), bytes};
 }
-
-/// Region ids of a dist snapshot.
-constexpr ckpt::RegionId kRegionProgress = 0;
-constexpr ckpt::RegionId kRegionMatrix = 1;
-constexpr ckpt::RegionId kRegionActive = 2;
-constexpr ckpt::RegionId kRegionFrozen = 3;
-constexpr ckpt::RegionId kRegionWActive = 4;
-constexpr ckpt::RegionId kRegionWFrozen = 5;
 
 /// A residual above this is corruption (the clean-run noise is orders of
 /// magnitude below at the shapes the runtime handles).
@@ -174,80 +165,30 @@ bool Launcher::await_done(std::size_t r, std::size_t k, RunReport& report) {
   }
 }
 
-ckpt::io::SnapshotBlob Launcher::make_blob(std::size_t step) const {
-  ckpt::io::SnapshotBlob blob;
-  blob.meta.id = static_cast<ckpt::CkptId>(step + 1);
-  blob.meta.kind = ckpt::CkptKind::Full;
-  blob.meta.when = static_cast<double>(step);
-
-  const std::uint64_t progress[2] = {step, frozen_steps_};
+std::array<Launcher::Region, 6> Launcher::regions() noexcept {
   const std::size_t mat_bytes = layout_.n * layout_.n * sizeof(double);
   const std::size_t cs_bytes = layout_.csr * layout_.n * sizeof(double);
-  const struct {
-    ckpt::RegionId id;
-    const void* src;
-    std::size_t bytes;
-  } regions[] = {
-      {kRegionProgress, progress, sizeof(progress)},
-      {kRegionMatrix, shared_.matrix, mat_bytes},
-      {kRegionActive, shared_.active, cs_bytes},
-      {kRegionFrozen, shared_.frozen, cs_bytes},
-      {kRegionWActive, shared_.wactive, cs_bytes},
-      {kRegionWFrozen, shared_.wfrozen, cs_bytes},
-  };
-  for (const auto& r : regions) {
-    ckpt::io::RegionBlob rb;
-    rb.region = r.id;
-    rb.payload.resize(r.bytes);
-    std::memcpy(rb.payload.data(), r.src, r.bytes);
-    rb.crc = payload_crc(rb.payload.data(), r.bytes);
-    blob.regions.push_back(std::move(rb));
-    blob.meta.bytes += r.bytes;
-  }
-  return blob;
+  return {{{0, bytes_of(progress_, sizeof(progress_))},
+           {1, bytes_of(shared_.matrix, mat_bytes)},
+           {2, bytes_of(shared_.active, cs_bytes)},
+           {3, bytes_of(shared_.frozen, cs_bytes)},
+           {4, bytes_of(shared_.wactive, cs_bytes)},
+           {5, bytes_of(shared_.wfrozen, cs_bytes)}}};
 }
 
 void Launcher::load_blob(const ckpt::io::SnapshotBlob& blob) {
-  const std::size_t mat_bytes = layout_.n * layout_.n * sizeof(double);
-  const std::size_t cs_bytes = layout_.csr * layout_.n * sizeof(double);
-  std::uint64_t progress[2] = {0, 0};
+  const auto table = regions();
+  ABFTC_CHECK(blob.regions.size() == table.size(),
+              "dist snapshot has the wrong number of regions");
   for (const ckpt::io::RegionBlob& r : blob.regions) {
-    switch (r.region) {
-      case kRegionProgress:
-        ABFTC_CHECK(r.payload.size() == sizeof(progress),
-                    "dist snapshot progress region has the wrong size");
-        std::memcpy(progress, r.payload.data(), sizeof(progress));
-        break;
-      case kRegionMatrix:
-        ABFTC_CHECK(r.payload.size() == mat_bytes,
-                    "dist snapshot matrix region has the wrong size");
-        std::memcpy(shared_.matrix, r.payload.data(), mat_bytes);
-        break;
-      case kRegionActive:
-        ABFTC_CHECK(r.payload.size() == cs_bytes,
-                    "dist snapshot active-checksum region has the wrong size");
-        std::memcpy(shared_.active, r.payload.data(), cs_bytes);
-        break;
-      case kRegionFrozen:
-        ABFTC_CHECK(r.payload.size() == cs_bytes,
-                    "dist snapshot frozen-checksum region has the wrong size");
-        std::memcpy(shared_.frozen, r.payload.data(), cs_bytes);
-        break;
-      case kRegionWActive:
-        ABFTC_CHECK(r.payload.size() == cs_bytes,
-                    "dist snapshot weighted-active region has the wrong size");
-        std::memcpy(shared_.wactive, r.payload.data(), cs_bytes);
-        break;
-      case kRegionWFrozen:
-        ABFTC_CHECK(r.payload.size() == cs_bytes,
-                    "dist snapshot weighted-frozen region has the wrong size");
-        std::memcpy(shared_.wfrozen, r.payload.data(), cs_bytes);
-        break;
-      default:
-        ABFTC_CHECK(false, "dist snapshot has an unknown region");
-    }
+    ABFTC_CHECK(r.region < table.size(), "dist snapshot has an unknown region");
+    const std::span<std::byte> dst = table[r.region].bytes;
+    ABFTC_CHECK(r.payload.size() == dst.size(),
+                "dist snapshot region " + std::to_string(r.region) +
+                    " has the wrong size");
+    std::memcpy(dst.data(), r.payload.data(), dst.size());
   }
-  frozen_steps_ = static_cast<std::size_t>(progress[1]);
+  frozen_steps_ = static_cast<std::size_t>(progress_[1]);
 }
 
 void Launcher::checkpoint(std::size_t boundary, RunReport& report) {
@@ -258,15 +199,41 @@ void Launcher::checkpoint(std::size_t boundary, RunReport& report) {
     return;
   max_boundary_attempted_ = boundary;
   ++report.checkpoints;
+
+  // Every rank has answered, so the arena is quiescent: stream the regions
+  // straight from it, each CRC'd in place just before its append.
+  progress_[0] = boundary;
+  progress_[1] = frozen_steps_;
+  const auto table = regions();
+  ckpt::io::SnapshotMeta meta;
+  meta.id = static_cast<ckpt::CkptId>(boundary + 1);
+  meta.kind = ckpt::CkptKind::Full;
+  meta.when = static_cast<double>(boundary);
+  std::vector<ckpt::RegionId> ids;
+  std::vector<std::uint64_t> sizes;
+  std::vector<std::uint32_t> crcs;
+  for (const Region& r : table) {
+    ids.push_back(r.id);
+    sizes.push_back(r.bytes.size());
+    meta.bytes += r.bytes.size();
+  }
   try {
-    backend_.write_snapshot(make_blob(boundary));
+    auto session =
+        backend_.begin_snapshot(meta, std::move(ids), std::move(sizes));
+    for (const Region& r : table) {
+      crcs.push_back(common::crc32(r.bytes));
+      session->append(r.bytes);
+    }
+    session->commit(crcs);
   } catch (const ckpt::io::io_error&) {
     // An injected (or real) commit failure costs this protection point but
     // not the run: recovery falls back to the previous snapshot.
   }
 }
 
-std::size_t Launcher::restore_and_respawn(RunReport& report) {
+std::optional<std::size_t> Launcher::restore_and_respawn(std::size_t step,
+                                                         RunReport& report) {
+  if (++restores_from_[step] > kMaxRestoresPerStep) return std::nullopt;
   const auto t0 = Clock::now();
   const auto blob = ckpt::io::latest_restorable(backend_);
   load_blob(blob ? *blob : initial_);
@@ -445,8 +412,8 @@ void Launcher::reconstruct_block(const FaultSite& site) {
   }
 }
 
-std::size_t Launcher::recover_from_corruption(std::size_t step,
-                                              RunReport& report) {
+std::optional<std::size_t> Launcher::recover_from_corruption(
+    std::size_t step, RunReport& report) {
   // Rung 1: localize from the weighted/unweighted residual ratio.
   auto t0 = Clock::now();
   const Localization loc = locate_fault();
@@ -477,7 +444,7 @@ std::size_t Launcher::recover_from_corruption(std::size_t step,
   // latest_restorable past torn snapshots and bottoms out at the in-memory
   // initial image, so every deeper rung is already inside it.
   ++report.escalations;
-  return restore_and_respawn(report);
+  return restore_and_respawn(step, report);
 }
 
 void Launcher::inject_flip(const Injection& inj, std::uint64_t seed,
@@ -601,7 +568,14 @@ RunReport Launcher::run(const std::vector<Injection>& faults) {
               wcs0.storage().size() * sizeof(double));
   // both frozen accumulators start zero (arena is zero-filled)
   frozen_steps_ = 0;
-  initial_ = make_blob(0);
+  progress_[0] = progress_[1] = 0;
+  for (const Region& r : regions()) {
+    ckpt::io::RegionBlob rb;
+    rb.region = r.id;
+    rb.payload.assign(r.bytes.begin(), r.bytes.end());
+    initial_.regions.push_back(std::move(rb));
+  }
+  restores_from_.assign(nbk_, 0);
 
   for (std::size_t r = 0; r < cfg_.ranks; ++r) spawn(r);
 
@@ -649,7 +623,9 @@ RunReport Launcher::run(const std::vector<Injection>& faults) {
     }
 
     if (!ok) {
-      k = restore_and_respawn(report);
+      const auto resume = restore_and_respawn(k, report);
+      if (!resume) break;
+      k = *resume;
       continue;
     }
 
@@ -677,7 +653,9 @@ RunReport Launcher::run(const std::vector<Injection>& faults) {
       const double res = residual_now();
       report.check_seconds += seconds_since(tc);
       if (res > kDetectFloor) {
-        k = recover_from_corruption(k, report);
+        const auto resume = recover_from_corruption(k, report);
+        if (!resume) break;
+        k = *resume;
         continue;
       }
     }
@@ -715,7 +693,7 @@ RunReport Launcher::run(const std::vector<Injection>& faults) {
     }
   }
   report.wall_seconds = seconds_since(wall0);
-  report.completed = true;
+  report.completed = k == nbk_;
   return report;
 }
 

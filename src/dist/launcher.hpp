@@ -39,6 +39,16 @@
 ///     fires: the coordinator counts a hang, SIGKILLs the stopped process
 ///     (which works on stopped processes), and recovers via the death path.
 ///
+/// A fault that survives restore and replay (a deterministic worker bug, or
+/// a snapshot whose damage passes its region CRCs) would send either path
+/// round forever; after kMaxRestoresPerStep restores triggered from one
+/// step the run gives up and reports completed = false.
+///
+/// Checkpoints stream straight from the arena: one region table (progress
+/// words, matrix, four accumulators) is CRC'd in place and appended to a
+/// backend WriteSession — nothing is staged — and the same table serves
+/// restore and the in-memory initial image.
+///
 /// Death detection is a poll loop: each response-wait probe checks the
 /// worker's mailbox, then waitpid(WNOHANG), then naps with capped
 /// exponential backoff (50 µs → 1 ms) — a corpse is noticed within a
@@ -46,9 +56,12 @@
 /// don't burn a core. The ready pipe written at spawn doubles as a
 /// liveness handle (POLLHUP on death).
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "abft/matrix.hpp"
@@ -57,6 +70,11 @@
 #include "dist/worker.hpp"
 
 namespace abftc::dist {
+
+/// Restores (death path or escalated corruption) a run may trigger from one
+/// step before it gives up as unrecoverable. Injected faults fire once, so a
+/// healthy run needs at most one per step.
+inline constexpr std::size_t kMaxRestoresPerStep = 3;
 
 struct DistConfig {
   std::size_t n = 96;          ///< matrix dimension
@@ -131,6 +149,8 @@ struct Localization {
 
 /// What one run did and what it cost.
 struct RunReport {
+  /// False when recovery gave up (kMaxRestoresPerStep restores from one
+  /// step); the final state is then whatever the last attempt left.
   bool completed = false;
   double wall_seconds = 0.0;
   /// Per-step wall time of the *first* execution of each step (replayed
@@ -200,17 +220,30 @@ class Launcher {
   [[nodiscard]] bool await_done(std::size_t r, std::size_t k,
                                 RunReport& report);
   void checkpoint(std::size_t boundary, RunReport& report);
-  [[nodiscard]] std::size_t restore_and_respawn(RunReport& report);
+  /// Restore the newest restorable snapshot and respawn dead ranks; returns
+  /// the step to resume from, or nullopt once `step` has used up its
+  /// kMaxRestoresPerStep restores (nothing is restored then).
+  [[nodiscard]] std::optional<std::size_t> restore_and_respawn(
+      std::size_t step, RunReport& report);
   void inject_flip(const Injection& inj, std::uint64_t seed,
                    RunReport& report);
   [[nodiscard]] Localization locate_fault() const;
   void reconstruct_block(const FaultSite& site);
   /// The escalation ladder for a detected corruption at step `step`;
-  /// returns the step to resume from.
-  [[nodiscard]] std::size_t recover_from_corruption(std::size_t step,
-                                                    RunReport& report);
+  /// returns the step to resume from (nullopt: gave up, see above).
+  [[nodiscard]] std::optional<std::size_t> recover_from_corruption(
+      std::size_t step, RunReport& report);
   [[nodiscard]] double residual_now() const;
-  [[nodiscard]] ckpt::io::SnapshotBlob make_blob(std::size_t step) const;
+
+  /// One snapshot region; its id is its position in the table.
+  struct Region {
+    ckpt::RegionId id = 0;
+    std::span<std::byte> bytes{};
+  };
+  /// The one region table behind checkpoint, restore and the initial image:
+  /// progress words, matrix, active, frozen, weighted active, weighted
+  /// frozen. The ids are stored in every snapshot, so the order is fixed.
+  [[nodiscard]] std::array<Region, 6> regions() noexcept;
   void load_blob(const ckpt::io::SnapshotBlob& blob);
 
   DistConfig cfg_;
@@ -225,6 +258,12 @@ class Launcher {
   /// none): replay after a restore must not re-write an existing snapshot.
   std::size_t max_boundary_attempted_ = std::numeric_limits<std::size_t>::max();
   std::size_t frozen_steps_ = 0;  ///< block rows frozen in the arena state
+  /// {boundary, frozen_steps_} of the snapshot being written or restored:
+  /// the progress region of the table.
+  std::uint64_t progress_[2] = {0, 0};
+  /// Restores triggered from each step (checked against
+  /// kMaxRestoresPerStep).
+  std::vector<std::size_t> restores_from_;
   unsigned verify_threads_ = 1;   ///< resolved from cfg_.verify_threads
   bool ran_ = false;
   abft::Matrix lu_, active_, frozen_, wactive_, wfrozen_;

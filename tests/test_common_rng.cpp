@@ -1,8 +1,13 @@
-// Tests for the deterministic RNG and its distribution samplers.
+// Tests for the deterministic RNG and its distribution samplers, and for
+// CRC-32: known values and equivalence of the dispatched (PCLMUL-folded where
+// the CPU has it) crc32 with the portable slicing-by-8 reference.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
@@ -10,6 +15,7 @@
 namespace {
 
 using abftc::common::crc32;
+using abftc::common::crc32_portable;
 using abftc::common::Rng;
 
 TEST(Rng, SameSeedSameSequence) {
@@ -143,6 +149,59 @@ TEST(Crc32, DetectsSingleBitFlip) {
   const auto before = crc32(data);
   data[17] ^= std::byte{0x04};
   EXPECT_NE(before, crc32(data));
+}
+
+/// Pseudo-random bytes, so no fold or table lookup can hit a lucky pattern.
+std::vector<std::byte> crc_test_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::byte> v(n);
+  for (std::byte& b : v) b = static_cast<std::byte>(rng() >> 56);
+  return v;
+}
+
+TEST(Crc32, DispatchedEqualsPortableAtEveryLengthAndOffset) {
+  const std::vector<std::byte> buf = crc_test_bytes(1024 + 16, 11);
+  const std::uint32_t seeds[] = {0u, 0xFFFFFFFFu, 0x12345678u, 0xCBF43926u};
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const std::span<const std::byte> piece(buf.data() + offset, len);
+      for (const std::uint32_t seed : seeds)
+        ASSERT_EQ(crc32(piece, seed), crc32_portable(piece, seed))
+            << "offset=" << offset << " len=" << len << " seed=" << seed;
+    }
+  }
+}
+
+TEST(Crc32, DispatchedEqualsPortableOnAnElevenMegabyteBuffer) {
+  const std::vector<std::byte> big = crc_test_bytes(11u << 20, 12);
+  EXPECT_EQ(crc32(big), crc32_portable(big));
+  EXPECT_EQ(crc32(big, 0x9E3779B9u), crc32_portable(big, 0x9E3779B9u));
+  // An odd length and a misaligned start leave a tail for the fallback.
+  const std::span<const std::byte> odd(big.data() + 3, big.size() - 10);
+  EXPECT_EQ(crc32(odd), crc32_portable(odd));
+}
+
+TEST(Crc32, StreamsMixingShortAndLongPiecesEqualTheReference) {
+  const std::vector<std::byte> buf = crc_test_bytes(64 * 1024, 13);
+  const std::uint32_t want = crc32_portable(buf);
+  // Piece lengths alternate under and over the 64-byte fold threshold.
+  const std::size_t pattern[] = {1, 63, 64, 65, 7, 200, 16, 1000, 31, 4096, 0,
+                                 129};
+  abftc::common::Crc32 stream;
+  abftc::common::Crc32Chunks chunks;
+  std::size_t at = 0;
+  for (std::size_t i = 0; at < buf.size(); ++i) {
+    const std::size_t len =
+        std::min(pattern[i % std::size(pattern)], buf.size() - at);
+    const std::span<const std::byte> piece(buf.data() + at, len);
+    stream.update(piece);
+    chunks.add(crc32(piece), len);
+    ASSERT_EQ(stream.value(), crc32_portable(std::span(buf.data(), at + len)))
+        << "after " << at + len << " bytes";
+    at += len;
+  }
+  EXPECT_EQ(stream.value(), want);
+  EXPECT_EQ(chunks.value(), want);
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // FaultingBackend write decorator, and the forked Launcher end to end —
 // clean runs vs the serial AbftLu reference, SIGKILL + respawn + restore
 // replay determinism, bit-flip reconstruction, torn-checkpoint fallback,
-// and a mini campaign in which every cell recovers.
+// snapshots streamed from the arena, the bounded restore loop, and a mini
+// campaign in which every cell recovers.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -615,6 +617,171 @@ TEST(DistLauncher, TornCheckpointFallsBackToOlderSnapshot) {
   EXPECT_EQ(abft::max_abs_diff(injected.lu(), clean.lu()), 0.0);
 }
 
+std::filesystem::path dist_test_dir(const std::string& leaf) {
+  const char* env = std::getenv("TMPDIR");
+  const std::filesystem::path base =
+      (env != nullptr && *env != '\0') ? std::filesystem::path(env)
+                                       : std::filesystem::temp_directory_path();
+  return base / leaf;
+}
+
+template <typename T>
+std::vector<T> values_of(const std::vector<std::byte>& payload) {
+  std::vector<T> out(payload.size() / sizeof(T));
+  std::memcpy(out.data(), payload.data(), out.size() * sizeof(T));
+  return out;
+}
+
+// Checkpoints stream straight from the arena. Every committed snapshot must
+// decode to the six regions of the dist format (ids 0..5, the same sizes,
+// CRCs that the portable reference reproduces) on a volatile and a durable
+// backend, and hold the arena as it was at its boundary:
+//  * boundary 0 is the initial state, rebuilt here independently;
+//  * at boundary b the factored part (block rows < b, and the L columns
+//    < b of every row) is already final, so it equals the finished run's
+//    factors bitwise, and the trailing block with all four accumulators
+//    must satisfy the checksum invariants (no site, nothing ambiguous).
+// One begin_snapshot per checkpoint keeps FaultingBackend's write index
+// equal to the checkpoint index, which the torn-write cells rely on.
+TEST(DistLauncher, SnapshotsHoldTheArenaAtTheirBoundary) {
+  const DistConfig cfg = small_config();
+  const std::size_t n = cfg.n, nb = cfg.nb;
+  common::Rng rng(cfg.seed);
+  const abft::Matrix a0 = abft::Matrix::diag_dominant(n, rng);
+  const abft::Matrix cs0 = abft::row_group_checksums(a0, nb, cfg.group);
+  const abft::Matrix wcs0 =
+      abft::row_group_weighted_checksums(a0, nb, cfg.group);
+  const std::size_t csr = cs0.rows();
+  const std::vector<std::uint64_t> want_sizes = {
+      2 * sizeof(std::uint64_t), n * n * sizeof(double),
+      csr * n * sizeof(double),  csr * n * sizeof(double),
+      csr * n * sizeof(double),  csr * n * sizeof(double)};
+
+  const std::filesystem::path log_dir = dist_test_dir("abftc_dist_roundtrip");
+  std::filesystem::remove_all(log_dir);
+  for (const std::string& spec : {std::string("memory"),
+                                 "log:" + log_dir.string() + "?shards=2"}) {
+    const auto inner = ckpt::io::make_backend(spec);
+    ckpt::io::FaultingBackend counted(*inner, {});
+    Launcher launcher(cfg, counted);
+    const RunReport report = launcher.run();
+    ASSERT_TRUE(report.completed) << spec;
+    EXPECT_EQ(counted.writes_started(), report.checkpoints) << spec;
+
+    const auto metas = inner->list();
+    ASSERT_EQ(metas.size(), report.checkpoints) << spec;
+    for (const ckpt::io::SnapshotMeta& meta : metas) {
+      const std::size_t b = meta.id - 1;
+      const ckpt::io::SnapshotBlob blob = inner->read_snapshot(meta.id);
+      ASSERT_EQ(blob.regions.size(), want_sizes.size()) << spec;
+      for (std::size_t i = 0; i < blob.regions.size(); ++i) {
+        const ckpt::io::RegionBlob& r = blob.regions[i];
+        EXPECT_EQ(r.region, i) << spec << " boundary " << b;
+        ASSERT_EQ(r.payload.size(), want_sizes[i]) << spec << " boundary " << b;
+        EXPECT_EQ(r.crc, common::crc32_portable(r.payload))
+            << spec << " boundary " << b << " region " << i;
+      }
+      const auto progress = values_of<std::uint64_t>(blob.regions[0].payload);
+      EXPECT_EQ(progress[0], b) << spec;
+      EXPECT_EQ(progress[1], b) << spec;  // a boundary has b frozen rows
+
+      std::vector<double> values[6];
+      for (std::size_t region = 1; region < 6; ++region)
+        values[region] = values_of<double>(blob.regions[region].payload);
+      const auto view = [&](std::size_t region, std::size_t rows) {
+        return abft::ConstMatrixView(values[region].data(), rows, n, n);
+      };
+      const abft::ConstMatrixView a = view(1, n);
+      if (b == 0) {
+        const abft::Matrix* want[] = {&a0, &cs0, nullptr, &wcs0, nullptr};
+        for (std::size_t region = 1; region < 6; ++region) {
+          const std::vector<double>& got = values[region];
+          for (std::size_t e = 0; e < got.size(); ++e)
+            ASSERT_EQ(got[e], want[region - 1] != nullptr
+                                  ? want[region - 1]->storage()[e]
+                                  : 0.0)
+                << spec << " region " << region << " element " << e;
+        }
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+          if (i < b * nb || j < b * nb) {
+            ASSERT_EQ(a(i, j), launcher.lu()(i, j))
+                << spec << " boundary " << b << " (" << i << ", " << j << ")";
+          }
+        }
+      }
+      const Localization loc = locate_corruption(
+          a, view(2, csr), view(3, csr), view(4, csr), view(5, csr), nb,
+          cfg.group, b);
+      EXPECT_FALSE(loc.ambiguous) << spec << " boundary " << b;
+      EXPECT_TRUE(loc.sites.empty()) << spec << " boundary " << b;
+    }
+  }
+  std::filesystem::remove_all(log_dir);
+}
+
+/// Serves every snapshot with one weighted-active element corrupted and the
+/// region CRC recomputed: the damage passes restore verification, and a
+/// weighted-only residual cannot be localized, so every restore brings it
+/// back.
+class CorruptingReadBackend final : public ckpt::io::StorageBackend {
+ public:
+  explicit CorruptingReadBackend(ckpt::io::StorageBackend& inner)
+      : inner_(inner) {}
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "corrupting";
+  }
+  void open() override { inner_.open(); }
+  [[nodiscard]] ckpt::io::SnapshotBlob read_snapshot(
+      ckpt::CkptId id) const override {
+    ckpt::io::SnapshotBlob blob = inner_.read_snapshot(id);
+    for (ckpt::io::RegionBlob& r : blob.regions) {
+      if (r.region != 4) continue;  // weighted active accumulator
+      double last = 0.0;
+      std::byte* at = r.payload.data() + r.payload.size() - sizeof(last);
+      std::memcpy(&last, at, sizeof(last));
+      last += 1.0;
+      std::memcpy(at, &last, sizeof(last));
+      r.crc = common::crc32(r.payload);
+    }
+    return blob;
+  }
+  [[nodiscard]] std::vector<ckpt::io::SnapshotMeta> list() const override {
+    return inner_.list();
+  }
+  void drop(ckpt::CkptId id) override { inner_.drop(id); }
+  [[nodiscard]] std::unique_ptr<WriteSession> begin_snapshot(
+      const ckpt::io::SnapshotMeta& meta, std::vector<ckpt::RegionId> regions,
+      std::vector<std::uint64_t> region_sizes) override {
+    return inner_.begin_snapshot(meta, std::move(regions),
+                                 std::move(region_sizes));
+  }
+
+ private:
+  ckpt::io::StorageBackend& inner_;
+};
+
+// A residual that survives restore must not loop restore → replay → detect
+// forever: the run gives up after kMaxRestoresPerStep restores from the
+// step and reports itself not completed (a campaign counts it unrecovered).
+TEST(DistLauncher, RestoreLoopGivesUpWhenTheResidualSurvivesRestore) {
+  DistConfig cfg = small_config();
+  cfg.blind = true;
+  const auto inner = ckpt::io::make_backend("memory");
+  CorruptingReadBackend corrupting(*inner);
+  Launcher launcher(cfg, corrupting);
+  const RunReport report = launcher.run({{FaultKind::Kill, 3, 1}});
+
+  EXPECT_FALSE(report.completed);
+  // One restore for the kill at step 3, then every replay of step 2 finds
+  // the restored damage again until step 2's restores run out.
+  EXPECT_EQ(report.restores, 1 + kMaxRestoresPerStep);
+  EXPECT_EQ(report.escalations, 1 + kMaxRestoresPerStep);
+  EXPECT_EQ(report.reconstructions, 0u);
+  EXPECT_GT(report.residual, 1e-8);
+}
+
 TEST(DistCampaign, MiniCampaignRecoversEveryCell) {
   DistConfig cfg = small_config();
   cfg.n = 48;  // 3 block steps: 3 × 2 ranks × 3 kinds = 18 cells
@@ -693,11 +860,8 @@ TEST(DistCampaign, LogStorageRecoversEveryCellWithCompaction) {
   // Durable sharded-log store with background compaction racing the
   // campaign's checkpoint traffic; storage_for splices ".cellN" before the
   // '?' so cells never share a directory.
-  const char* env = std::getenv("TMPDIR");
-  const std::filesystem::path base =
-      (env != nullptr && *env != '\0') ? std::filesystem::path(env)
-                                       : std::filesystem::temp_directory_path();
-  const std::filesystem::path store = base / "abftc_dist_log_campaign";
+  const std::filesystem::path store =
+      dist_test_dir("abftc_dist_log_campaign");
   std::filesystem::remove_all(store);
   CampaignOptions options;
   options.storage = "log:" + store.string() + "?shards=2&compact=4";
