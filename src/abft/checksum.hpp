@@ -34,9 +34,8 @@ class unrecoverable_error : public std::runtime_error {
 /// First live row of an LU active accumulator during block step k: the
 /// groups below it have no active block row left once step k's pivot row
 /// leaves, so rows [0, lo) hold only drained rounding noise and the step's
-/// trsm and GEMM run on rows [lo, csr) only. The serial AbftLu step and the
-/// dist worker phases share this bound, which keeps their accumulators in
-/// lockstep.
+/// trsm and GEMM run on rows [lo, csr) only (abft::lu_panel and
+/// abft::lu_update_columns, abft_lu.hpp).
 [[nodiscard]] constexpr std::size_t live_checksum_row(std::size_t k,
                                                       std::size_t group,
                                                       std::size_t nb) noexcept {

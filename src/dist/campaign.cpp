@@ -101,34 +101,6 @@ double predict(const Calibration& calib, const Cell& cell,
   return calib.t_clean;
 }
 
-/// Residual of all four checksum invariants over copied-out final state
-/// (the calibration clone of Launcher::residual_now; frozen_steps = nbk
-/// after a completed run, so the active accumulators must be ~0).
-double final_residual(const abft::Matrix& a, const abft::Matrix& active,
-                      const abft::Matrix& frozen, const abft::Matrix& wactive,
-                      const abft::Matrix& wfrozen, std::size_t nb,
-                      std::size_t group) {
-  const std::size_t nbk = a.rows() / nb;
-  const std::size_t groups = nbk / group;
-  double worst = 0.0;
-  for (std::size_t g = 0; g < groups; ++g)
-    for (std::size_t r = 0; r < nb; ++r)
-      for (std::size_t j = 0; j < a.cols(); ++j) {
-        double sum = 0.0, wsum = 0.0;
-        for (std::size_t m = 0; m < group; ++m) {
-          const double v = a((g * group + m) * nb + r, j);
-          sum += v;
-          wsum += static_cast<double>(m + 1) * v;
-        }
-        const std::size_t row = g * nb + r;
-        worst = std::max(worst, std::abs(sum - frozen(row, j)));
-        worst = std::max(worst, std::abs(active(row, j)));
-        worst = std::max(worst, std::abs(wsum - wfrozen(row, j)));
-        worst = std::max(worst, std::abs(wactive(row, j)));
-      }
-  return worst;
-}
-
 /// Set-equality of injected vs located sites (order-insensitive: the
 /// localization sweep reports in (row, column) scan order, the injector in
 /// injection order).
@@ -158,33 +130,23 @@ Calibration calibrate(const DistConfig& cfg, const CampaignOptions& options) {
   calib.restore_s = seconds_since(t0);
   ABFTC_CHECK(blob.has_value(), "clean run left no restorable snapshot");
 
-  // check_s: one full residual sweep over the final state.
+  // check_s, locate_s, recons_s: the runtime's own residual sweep (on the
+  // launcher's verify threads), localization and block rebuild, timed over a
+  // scratch copy of the final state (every block row frozen).
+  abft::Matrix a = clean.lu(), active = clean.active_cs(),
+               frozen = clean.frozen_cs(), wactive = clean.weighted_active_cs(),
+               wfrozen = clean.weighted_frozen_cs();
+  const abft::LuView view{a.view(),       active.view(),  frozen.view(),
+                          wactive.view(), wfrozen.view(), cfg.nb, cfg.group};
+  const std::size_t nbk = clean.block_steps();
   t0 = Clock::now();
-  (void)final_residual(clean.lu(), clean.active_cs(), clean.frozen_cs(),
-                       clean.weighted_active_cs(), clean.weighted_frozen_cs(),
-                       cfg.nb, cfg.group);
+  (void)abft::lu_checksum_residual(view, nbk, clean.verify_threads());
   calib.check_s = seconds_since(t0);
-
-  // locate_s: one weighted/unweighted localization sweep (same state).
   t0 = Clock::now();
-  (void)locate_corruption(clean.lu().view(), clean.active_cs().view(),
-                          clean.frozen_cs().view(),
-                          clean.weighted_active_cs().view(),
-                          clean.weighted_frozen_cs().view(), cfg.nb, cfg.group,
-                          cfg.n / cfg.nb);
+  (void)locate_corruption(view, nbk);
   calib.locate_s = seconds_since(t0);
-
-  // recons_s: reconstruct one (frozen) block on scratch copies.
-  abft::Matrix scratch = clean.lu();
-  const abft::Matrix& frozen = clean.frozen_cs();
   t0 = Clock::now();
-  abft::MatrixView lost = scratch.block(0, 0, cfg.nb, cfg.nb);
-  for (std::size_t r = 0; r < cfg.nb; ++r)
-    for (std::size_t c = 0; c < cfg.nb; ++c) lost(r, c) = frozen(r, c);
-  for (std::size_t mi = 1; mi < cfg.group; ++mi)
-    for (std::size_t r = 0; r < cfg.nb; ++r)
-      for (std::size_t c = 0; c < cfg.nb; ++c)
-        lost(r, c) -= scratch(mi * cfg.nb + r, c);
+  abft::lu_rebuild_block(view, 0, 0, nbk);
   calib.recons_s = seconds_since(t0);
 
   cleanup(storage);

@@ -72,7 +72,7 @@ struct CellOutcome {
   double check_seconds = 0.0, locate_seconds = 0.0, recons_seconds = 0.0,
          restore_seconds = 0.0, hang_wait_seconds = 0.0;
   std::vector<FaultSite> injected;  ///< ground truth (record only)
-  std::vector<FaultSite> located;   ///< derived by locate_fault()
+  std::vector<FaultSite> located;   ///< derived by locate_corruption()
   /// Derived sites == injected sites (as sets). Trivially true for cells
   /// that inject no corruption (kill/torn/hang).
   bool site_match = false;

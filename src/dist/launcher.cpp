@@ -10,12 +10,12 @@
 #include <cmath>
 #include <cstring>
 #include <thread>
+#include <utility>
 
 #include "abft/checksum.hpp"
 #include "abft/kernels.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
-#include "common/executor.hpp"
 #include "common/rng.hpp"
 
 namespace abftc::dist {
@@ -253,170 +253,55 @@ std::optional<std::size_t> Launcher::restore_and_respawn(std::size_t step,
 }
 
 double Launcher::residual_now() const {
-  // Recompute all four accumulators from the payload (AbftLu's
-  // checksum_residual over the arena): the invariants hold at every step
-  // boundary, so any excess residual is silent corruption. The sweep is
-  // O(n²·group) and sits on the recovery critical path (every detection and
-  // every post-reconstruction re-verify), so it runs on parallel_for with
-  // one checksum row per index — each worker writes only its own partial
-  // slot and the max-fold below runs serially in index order, making the
-  // result bitwise-identical for every worker count.
-  const abft::ConstMatrixView a(shared_.matrix, layout_.n, layout_.n,
-                                layout_.n);
-  const abft::ConstMatrixView active(shared_.active, layout_.csr, layout_.n,
-                                     layout_.n);
-  const abft::ConstMatrixView frozen(shared_.frozen, layout_.csr, layout_.n,
-                                     layout_.n);
-  const abft::ConstMatrixView wactive(shared_.wactive, layout_.csr, layout_.n,
-                                      layout_.n);
-  const abft::ConstMatrixView wfrozen(shared_.wfrozen, layout_.csr, layout_.n,
-                                      layout_.n);
-  std::vector<double> partial(layout_.csr, 0.0);
-  // Tiny test shapes stay inline: below ~16k residual columns the dispatch
-  // overhead would dominate the sweep itself.
-  const unsigned threads =
-      layout_.csr * layout_.n >= 16'384 ? verify_threads_ : 1;
-  common::parallel_for(
-      layout_.csr,
-      [&](std::size_t row) {
-        const std::size_t g = row / layout_.nb;
-        const std::size_t r = row % layout_.nb;
-        double worst = 0.0;
-        for (std::size_t j = 0; j < layout_.n; ++j) {
-          double ea = 0.0, ef = 0.0, wa = 0.0, wf = 0.0;
-          for (std::size_t m = 0; m < layout_.group; ++m) {
-            const std::size_t bi = g * layout_.group + m;
-            const double v = a(bi * layout_.nb + r, j);
-            const double w = static_cast<double>(m + 1);
-            if (bi < frozen_steps_) {
-              ef += v;
-              wf += w * v;
-            } else {
-              ea += v;
-              wa += w * v;
-            }
-          }
-          worst = std::max(worst, std::abs(ea - active(row, j)));
-          worst = std::max(worst, std::abs(ef - frozen(row, j)));
-          worst = std::max(worst, std::abs(wa - wactive(row, j)));
-          worst = std::max(worst, std::abs(wf - wfrozen(row, j)));
-        }
-        partial[row] = worst;
-      },
-      threads);
-  double worst = 0.0;
-  for (const double p : partial) worst = std::max(worst, p);
-  return worst;
+  return abft::lu_checksum_residual(shared_.lu(), frozen_steps_,
+                                    verify_threads_);
 }
 
-Localization locate_corruption(abft::ConstMatrixView a,
-                               abft::ConstMatrixView active,
-                               abft::ConstMatrixView frozen,
-                               abft::ConstMatrixView wactive,
-                               abft::ConstMatrixView wfrozen, std::size_t nb,
-                               std::size_t group, std::size_t frozen_steps) {
+Localization locate_corruption(const abft::LuView& v,
+                               std::size_t frozen_steps) {
   Localization loc;
-  const std::size_t n = a.cols();
-  const std::size_t groups = (a.rows() / nb) / group;
-  for (std::size_t g = 0; g < groups; ++g) {
-    for (std::size_t r = 0; r < nb; ++r) {
-      const std::size_t row = g * nb + r;
-      for (std::size_t j = 0; j < n; ++j) {
-        double ea = 0.0, ef = 0.0, wa = 0.0, wf = 0.0;
-        for (std::size_t m = 0; m < group; ++m) {
-          const std::size_t bi = g * group + m;
-          const double v = a(bi * nb + r, j);
-          const double w = static_cast<double>(m + 1);
-          if (bi < frozen_steps) {
-            ef += v;
-            wf += w * v;
-          } else {
-            ea += v;
-            wa += w * v;
-          }
+  const std::size_t nb = v.nb, group = v.group;
+  for (std::size_t row = 0; row < v.active.rows(); ++row) {
+    for (std::size_t j = 0; j < v.a.cols(); ++j) {
+      // r2/r1 = m+1 names a single corrupted element (abft::LuResidual).
+      const abft::LuResidual res =
+          abft::lu_residual_at(v, row, j, frozen_steps);
+      for (int cls = 0; cls < 2; ++cls) {
+        const double r1 = res.sum[cls], r2 = res.weighted[cls];
+        if (std::abs(r1) <= kDetectFloor &&
+            std::abs(r2) <= kDetectFloor * static_cast<double>(group + 1))
+          continue;  // clean slot (weighted noise scales with the weights)
+        if (std::abs(r1) <= kDetectFloor) {
+          // Weighted-only residual: cancelling deltas or a corrupted
+          // accumulator — no single site explains it.
+          loc.ambiguous = true;
+          continue;
         }
-        // A single corrupted element with delta d at group position m
-        // leaves r1 = d in the sum relation and r2 = (m+1)·d in the
-        // weighted one for its class; r2/r1 names the victim exactly.
-        const double res1[2] = {ea - active(row, j), ef - frozen(row, j)};
-        const double res2[2] = {wa - wactive(row, j), wf - wfrozen(row, j)};
-        for (int cls = 0; cls < 2; ++cls) {
-          const double r1 = res1[cls], r2 = res2[cls];
-          if (std::abs(r1) <= kDetectFloor &&
-              std::abs(r2) <= kDetectFloor * static_cast<double>(group + 1))
-            continue;  // clean slot (weighted noise scales with the weights)
-          if (std::abs(r1) <= kDetectFloor) {
-            // Weighted-only residual: cancelling deltas or a corrupted
-            // accumulator — no single site explains it.
-            loc.ambiguous = true;
-            continue;
-          }
-          const double ratio = r2 / r1;
-          const double nearest = std::round(ratio);
-          if (nearest < 1.0 || nearest > static_cast<double>(group) ||
-              std::abs(ratio - nearest) > 0.05) {
-            loc.ambiguous = true;  // not a single-element signature
-            continue;
-          }
-          const std::size_t bi =
-              g * group + static_cast<std::size_t>(nearest) - 1;
-          if ((bi < frozen_steps) != (cls == 1)) {
-            loc.ambiguous = true;  // named row lives in the other class
-            continue;
-          }
-          loc.sites.push_back(FaultSite{bi, j / nb, bi * nb + r, j});
+        const double ratio = r2 / r1;
+        const double nearest = std::round(ratio);
+        if (nearest < 1.0 || nearest > static_cast<double>(group) ||
+            std::abs(ratio - nearest) > 0.05) {
+          loc.ambiguous = true;  // not a single-element signature
+          continue;
         }
+        const std::size_t bi =
+            row / nb * group + static_cast<std::size_t>(nearest) - 1;
+        if ((bi < frozen_steps) != (cls == 1)) {
+          loc.ambiguous = true;  // named row lives in the other class
+          continue;
+        }
+        loc.sites.push_back(FaultSite{bi, j / nb, bi * nb + row % nb, j});
       }
     }
   }
   return loc;
 }
 
-Localization Launcher::locate_fault() const {
-  return locate_corruption(
-      abft::ConstMatrixView(shared_.matrix, layout_.n, layout_.n, layout_.n),
-      abft::ConstMatrixView(shared_.active, layout_.csr, layout_.n, layout_.n),
-      abft::ConstMatrixView(shared_.frozen, layout_.csr, layout_.n, layout_.n),
-      abft::ConstMatrixView(shared_.wactive, layout_.csr, layout_.n,
-                            layout_.n),
-      abft::ConstMatrixView(shared_.wfrozen, layout_.csr, layout_.n,
-                            layout_.n),
-      cfg_.nb, cfg_.group, frozen_steps_);
-}
-
-void Launcher::reconstruct_block(const FaultSite& site) {
-  // Dual-accumulator reconstruction at derived coordinates: wipe the block,
-  // start from the matching accumulator, subtract the surviving group
-  // members in the same frozen/active class.
-  abft::MatrixView a = shared_.a();
-  const std::size_t bi = site.block_row, bj = site.block_col;
-  const bool frozen = bi < frozen_steps_;
-  const abft::ConstMatrixView cs =
-      frozen ? abft::ConstMatrixView(shared_.frozen, layout_.csr, layout_.n,
-                                     layout_.n)
-             : abft::ConstMatrixView(shared_.active, layout_.csr, layout_.n,
-                                     layout_.n);
-  abft::MatrixView lost = a.block(bi * cfg_.nb, bj * cfg_.nb, cfg_.nb, cfg_.nb);
-  const std::size_t g = bi / cfg_.group;
-  for (std::size_t r = 0; r < cfg_.nb; ++r)
-    for (std::size_t c = 0; c < cfg_.nb; ++c)
-      lost(r, c) = cs(g * cfg_.nb + r, bj * cfg_.nb + c);
-  const std::size_t first = g * cfg_.group;
-  for (std::size_t mi = first; mi < first + cfg_.group; ++mi) {
-    if (mi == bi) continue;
-    if ((mi < frozen_steps_) != frozen) continue;
-    const abft::ConstMatrixView other =
-        a.block(mi * cfg_.nb, bj * cfg_.nb, cfg_.nb, cfg_.nb);
-    for (std::size_t r = 0; r < cfg_.nb; ++r)
-      for (std::size_t c = 0; c < cfg_.nb; ++c) lost(r, c) -= other(r, c);
-  }
-}
-
 std::optional<std::size_t> Launcher::recover_from_corruption(
     std::size_t step, RunReport& report) {
   // Rung 1: localize from the weighted/unweighted residual ratio.
   auto t0 = Clock::now();
-  const Localization loc = locate_fault();
+  const Localization loc = locate_corruption(shared_.lu(), frozen_steps_);
   report.locate_seconds += seconds_since(t0);
   ++report.locates;
   for (const FaultSite& s : loc.sites) report.located.push_back(s);
@@ -430,7 +315,9 @@ std::optional<std::size_t> Launcher::recover_from_corruption(
                 s.block_col == loc.sites.front().block_col;
   if (one_block) {
     t0 = Clock::now();
-    reconstruct_block(loc.sites.front());
+    const FaultSite& site = loc.sites.front();
+    abft::lu_rebuild_block(shared_.lu(), site.block_row, site.block_col,
+                           frozen_steps_);
     report.recons_seconds += seconds_since(t0);
     ++report.reconstructions;
     t0 = Clock::now();
@@ -453,7 +340,7 @@ void Launcher::inject_flip(const Injection& inj, std::uint64_t seed,
   // comparison, never into a recovery decision — detection happens at the
   // step-boundary verification and localization is derived from the
   // weighted residuals.
-  abft::MatrixView a = shared_.a();
+  const abft::MatrixView a = shared_.lu().a;
   common::Rng rng(seed);
 
   std::vector<std::size_t> owned;
@@ -664,21 +551,18 @@ RunReport Launcher::run(const std::vector<Injection>& faults) {
 
   // --- final state + teardown ----------------------------------------------
   report.residual = residual_now();
-  lu_ = abft::Matrix(layout_.n, layout_.n);
-  std::memcpy(lu_.storage().data(), shared_.matrix,
-              lu_.storage().size() * sizeof(double));
-  active_ = abft::Matrix(layout_.csr, layout_.n);
-  std::memcpy(active_.storage().data(), shared_.active,
-              active_.storage().size() * sizeof(double));
-  frozen_ = abft::Matrix(layout_.csr, layout_.n);
-  std::memcpy(frozen_.storage().data(), shared_.frozen,
-              frozen_.storage().size() * sizeof(double));
-  wactive_ = abft::Matrix(layout_.csr, layout_.n);
-  std::memcpy(wactive_.storage().data(), shared_.wactive,
-              wactive_.storage().size() * sizeof(double));
-  wfrozen_ = abft::Matrix(layout_.csr, layout_.n);
-  std::memcpy(wfrozen_.storage().data(), shared_.wfrozen,
-              wfrozen_.storage().size() * sizeof(double));
+  const abft::LuView v = shared_.lu();
+  const std::pair<abft::Matrix*, abft::MatrixView> out[] = {
+      {&lu_, v.a},
+      {&active_, v.active},
+      {&frozen_, v.frozen},
+      {&wactive_, v.wactive},
+      {&wfrozen_, v.wfrozen}};
+  for (const auto& [dst, src] : out) {
+    *dst = abft::Matrix(src.rows(), src.cols());
+    std::memcpy(dst->storage().data(), src.data(),
+                dst->storage().size() * sizeof(double));
+  }
 
   for (std::size_t r = 0; r < cfg_.ranks; ++r) {
     if (ranks_[r].pid <= 0) continue;

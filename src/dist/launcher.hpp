@@ -23,8 +23,9 @@
 ///     weighted residual is (m+1)× the unweighted one, m = the victim's
 ///     position inside its checksum group), and recovery climbs an
 ///     escalating ladder —
-///       rung 1  locate_fault(): derive (block-row, block-col, element)
-///               from the two residuals; no ground truth is consulted.
+///       rung 1  locate_corruption(): derive (block-row, block-col,
+///               element) from the two residuals; no ground truth is
+///               consulted.
 ///       rung 2  single-block damage, clean localization → wipe + rebuild
 ///               the block from the matching accumulator, re-verify.
 ///       rung 3  ambiguous / multi-block / residual persists → restore the
@@ -113,7 +114,7 @@ struct Injection {
 };
 
 /// One corrupted element, as coordinates. Produced by the injector (ground
-/// truth, recorded for post-hoc comparison only) and by locate_fault()
+/// truth, recorded for post-hoc comparison only) and by locate_corruption()
 /// (derived); a campaign cell is trustworthy when the two agree.
 struct FaultSite {
   std::size_t block_row = 0;  ///< bi
@@ -136,16 +137,14 @@ struct Localization {
   std::vector<FaultSite> sites;  ///< distinct corrupted elements, derived
 };
 
-/// Huang–Abraham localization over an arbitrary state snapshot: recompute
-/// all four accumulators from the payload and resolve every residual column
-/// to a (block-row, block-col, element) site via the weighted/unweighted
-/// ratio. Free function so unit tests and the campaign calibrator can run
-/// it on hand-built state; `Launcher` wraps it over the live arena.
-[[nodiscard]] Localization locate_corruption(
-    abft::ConstMatrixView a, abft::ConstMatrixView active,
-    abft::ConstMatrixView frozen, abft::ConstMatrixView wactive,
-    abft::ConstMatrixView wfrozen, std::size_t nb, std::size_t group,
-    std::size_t frozen_steps);
+/// Huang–Abraham localization over an arbitrary state with block rows
+/// [0, frozen_steps) frozen: resolve every residual column of
+/// abft::lu_residual_at to a (block-row, block-col, element) site via the
+/// weighted/unweighted ratio. Free function so unit tests and the campaign
+/// calibrator can run it on hand-built state; `Launcher` runs it over the
+/// live arena.
+[[nodiscard]] Localization locate_corruption(const abft::LuView& v,
+                                             std::size_t frozen_steps);
 
 /// What one run did and what it cost.
 struct RunReport {
@@ -196,6 +195,10 @@ class Launcher {
 
   [[nodiscard]] const DistConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] std::size_t block_steps() const noexcept { return nbk_; }
+  /// Workers of the residual sweep (cfg.verify_threads resolved).
+  [[nodiscard]] unsigned verify_threads() const noexcept {
+    return verify_threads_;
+  }
 
   // Final state, copied out of the arena after run() — valid afterwards.
   [[nodiscard]] const abft::Matrix& lu() const noexcept { return lu_; }
@@ -227,12 +230,11 @@ class Launcher {
       std::size_t step, RunReport& report);
   void inject_flip(const Injection& inj, std::uint64_t seed,
                    RunReport& report);
-  [[nodiscard]] Localization locate_fault() const;
-  void reconstruct_block(const FaultSite& site);
   /// The escalation ladder for a detected corruption at step `step`;
   /// returns the step to resume from (nullopt: gave up, see above).
   [[nodiscard]] std::optional<std::size_t> recover_from_corruption(
       std::size_t step, RunReport& report);
+  /// lu_checksum_residual over the arena on verify_threads_ workers.
   [[nodiscard]] double residual_now() const;
 
   /// One snapshot region; its id is its position in the table.

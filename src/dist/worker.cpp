@@ -4,8 +4,6 @@
 
 #include <cstring>
 
-#include "abft/blas.hpp"
-#include "abft/checksum.hpp"
 #include "abft/kernels.hpp"
 #include "common/error.hpp"
 
@@ -68,79 +66,15 @@ SharedState SharedState::attach(void* base, const DistLayout& lay) {
   return s;
 }
 
-void panel_phase(const SharedState& s, std::size_t k) {
-  const DistLayout& lay = s.layout;
-  const std::size_t nb = lay.nb;
-  const std::size_t off = k * nb;
-  const std::size_t rest = lay.n - off - nb;
-  const std::size_t g = k / lay.group;
-  const double w = static_cast<double>(k % lay.group + 1);
-  abft::MatrixView a = s.a();
-  abft::MatrixView active = s.active_cs();
-  abft::MatrixView wactive = s.wactive_cs();
-
-  // Pre-subtract the pivot block row's column block k from the active
-  // accumulators (the other column blocks are pre-subtracted by their owners
-  // in the update phase, before anything modifies the pivot row there).
-  for (std::size_t r = 0; r < nb; ++r)
-    for (std::size_t c = 0; c < nb; ++c) {
-      active(g * nb + r, off + c) -= a(off + r, off + c);
-      wactive(g * nb + r, off + c) -= w * a(off + r, off + c);
-    }
-
-  abft::MatrixView diag = a.block(off, off, nb, nb);
-  abft::getf2_nopiv(diag);
-
-  if (rest > 0) abft::trsm_right_upper(diag, a.block(off + nb, off, rest, nb));
-  const std::size_t lo = abft::live_checksum_row(k, lay.group, nb);
-  abft::trsm_right_upper(diag, active.block(lo, off, lay.csr - lo, nb));
-  abft::trsm_right_upper(diag, wactive.block(lo, off, lay.csr - lo, nb));
-}
-
-void update_phase(const SharedState& s, std::size_t rank, std::size_t k) {
-  const DistLayout& lay = s.layout;
-  const std::size_t nb = lay.nb;
-  const std::size_t off = k * nb;
-  const std::size_t g = k / lay.group;
-  const double w = static_cast<double>(k % lay.group + 1);
-  abft::MatrixView a = s.a();
-  abft::MatrixView active = s.active_cs();
-  abft::MatrixView frozen = s.frozen_cs();
-  abft::MatrixView wactive = s.wactive_cs();
-  abft::MatrixView wfrozen = s.wfrozen_cs();
-  const abft::ConstMatrixView diag = a.block(off, off, nb, nb);
-  const std::size_t lo = abft::live_checksum_row(k, lay.group, nb);
-  const std::size_t live = lay.csr - lo;
-
-  for (std::size_t j = rank; j < lay.nbk; j += lay.nranks) {
-    const std::size_t jc = j * nb;
-    if (j != k) {
-      // Pre-subtract the pivot row at this column block (its pre-step
-      // values: for j > k the trsm below hasn't touched them yet).
-      for (std::size_t r = 0; r < nb; ++r)
-        for (std::size_t c = 0; c < nb; ++c) {
-          active(g * nb + r, jc + c) -= a(off + r, jc + c);
-          wactive(g * nb + r, jc + c) -= w * a(off + r, jc + c);
-        }
-      if (j > k) {
-        abft::MatrixView u = a.block(off, jc, nb, nb);
-        abft::trsm_left_lower_unit(diag, u);
-        const std::size_t rest = lay.n - off - nb;
-        abft::gemm_sub(a.block(off + nb, off, rest, nb), u,
-                       a.block(off + nb, jc, rest, nb));
-        abft::gemm_sub(active.block(lo, off, live, nb), u,
-                       active.block(lo, jc, live, nb));
-        abft::gemm_sub(wactive.block(lo, off, live, nb), u,
-                       wactive.block(lo, jc, live, nb));
-      }
-    }
-    // Freeze the finalized pivot row values of this column block.
-    for (std::size_t r = 0; r < nb; ++r)
-      for (std::size_t c = 0; c < nb; ++c) {
-        frozen(g * nb + r, jc + c) += a(off + r, jc + c);
-        wfrozen(g * nb + r, jc + c) += w * a(off + r, jc + c);
-      }
-  }
+abft::LuView SharedState::lu() const {
+  const std::size_t n = layout.n, csr = layout.csr;
+  return {abft::MatrixView(matrix, n, n, n),
+          abft::MatrixView(active, csr, n, n),
+          abft::MatrixView(frozen, csr, n, n),
+          abft::MatrixView(wactive, csr, n, n),
+          abft::MatrixView(wfrozen, csr, n, n),
+          layout.nb,
+          layout.group};
 }
 
 void worker_main(void* arena, const DistLayout& lay, std::size_t rank,
@@ -154,6 +88,7 @@ void worker_main(void* arena, const DistLayout& lay, std::size_t rank,
   abft::set_kernel_policy(policy);
 
   const SharedState s = SharedState::attach(arena, lay);
+  const abft::LuView view = s.lu();
   if (s.ctl->magic != kArenaMagic || s.ctl->n != lay.n ||
       s.ctl->nb != lay.nb || s.ctl->group != lay.group ||
       s.ctl->nranks != lay.nranks)
@@ -181,13 +116,15 @@ void worker_main(void* arena, const DistLayout& lay, std::size_t rank,
       ::_exit(103);  // corrupt frame: die loudly, coordinator recovers
     }
     if (!msg) continue;
+    const auto k = static_cast<std::size_t>(msg->args[0]);
     switch (msg->type) {
       case MsgType::Panel:
-        panel_phase(s, static_cast<std::size_t>(msg->args[0]));
+        abft::lu_panel(view, k);
         post(s.rsp[rank], MsgType::Done, msg->args[0]);
         break;
       case MsgType::Update:
-        update_phase(s, rank, static_cast<std::size_t>(msg->args[0]));
+        for (std::size_t j = rank; j < lay.nbk; j += lay.nranks)
+          abft::lu_update_columns(view, k, j, j + 1);
         post(s.rsp[rank], MsgType::Done, msg->args[0]);
         break;
       case MsgType::Shutdown:

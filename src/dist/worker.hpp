@@ -4,50 +4,20 @@
 /// ABFT-protected LU factorization.
 ///
 /// Ownership is panel-cyclic over block columns: rank `j % nranks` owns
-/// block column j of the matrix AND of both checksum accumulators. Every
-/// block step k splits into two commands, mirroring AbftLu::step exactly:
-///
-///   Panel(k)  — owner(k) only: pre-subtract the pivot block row from the
-///               active accumulator (column block k), factor the diagonal
-///               block, apply U_kk^{-1} to the L block column and to the
-///               active accumulator's column block k.
-///
-/// Both phases maintain TWO accumulator pairs: the plain sums and their
-/// position-weighted twins (weight = 1-based position of the block row
-/// inside its checksum group — the Huang–Abraham localization relation).
-/// Every step operation is linear in rows, so applying the identical
-/// transformation keeps both invariants exact at step boundaries; the
-/// coordinator localizes a corrupted element from the ratio of the two
-/// residuals without being told where the fault landed.
-///   Update(k) — every rank, over each owned block column j: j == k just
-///               freezes (its panel values are final); j != k pre-subtracts
-///               the pivot row, and for j > k applies L_kk^{-1} to the U
-///               block row, the trailing GEMM update to payload and active
-///               accumulator, then freezes the finalized pivot row into the
-///               frozen accumulator.
-///
-/// Both phases touch the active accumulators' trsm and GEMM rows only in the
-/// live range [lo, csr), lo = abft::live_checksum_row(k, group, nb): groups
-/// below lo have frozen completely and their active rows hold drained noise
-/// nobody reads. AbftLu::step trims by the same bound, so the two stay in
-/// lockstep element by element.
-///
-/// Per matrix column the operation sequence and operand values are
-/// identical to the serial AbftLu step (each GEMM dot product runs over the
-/// same nb-length inner dimension in the same order), so a clean
-/// distributed run produces the same factors the serial code does, and two
-/// distributed runs are bitwise identical — which is what lets the launcher
-/// assert that restore + replay after a SIGKILL loses nothing.
+/// block column j of the matrix and of the four checksum accumulators. Block
+/// step k is two commands over the shared step functions of abft_lu.hpp:
+/// Panel(k) runs abft::lu_panel on owner(k) alone, then Update(k) runs
+/// abft::lu_update_columns on every rank, one owned block column per call.
 ///
 /// No two ranks ever write the same bytes within a phase: Panel writes only
-/// column block k (owner's property), Update writes only the executing
-/// rank's owned columns, and the active accumulator's column block k is
-/// read-only during Update.
+/// column block k, Update writes only the executing rank's owned columns,
+/// and column block k of the payload and active accumulators is read-only
+/// during Update.
 
 #include <cstddef>
 #include <cstdint>
 
-#include "abft/matrix.hpp"
+#include "abft/abft_lu.hpp"
 #include "dist/channel.hpp"
 
 namespace abftc::dist {
@@ -101,21 +71,9 @@ struct SharedState {
 
   [[nodiscard]] static SharedState attach(void* base, const DistLayout& lay);
 
-  [[nodiscard]] abft::MatrixView a() const {
-    return abft::MatrixView(matrix, layout.n, layout.n, layout.n);
-  }
-  [[nodiscard]] abft::MatrixView active_cs() const {
-    return abft::MatrixView(active, layout.csr, layout.n, layout.n);
-  }
-  [[nodiscard]] abft::MatrixView frozen_cs() const {
-    return abft::MatrixView(frozen, layout.csr, layout.n, layout.n);
-  }
-  [[nodiscard]] abft::MatrixView wactive_cs() const {
-    return abft::MatrixView(wactive, layout.csr, layout.n, layout.n);
-  }
-  [[nodiscard]] abft::MatrixView wfrozen_cs() const {
-    return abft::MatrixView(wfrozen, layout.csr, layout.n, layout.n);
-  }
+  /// The protected-LU state in the arena, as the shared step functions
+  /// take it.
+  [[nodiscard]] abft::LuView lu() const;
 };
 
 /// Panel-cyclic owner of block column j.
@@ -123,13 +81,6 @@ struct SharedState {
                                              std::size_t nranks) noexcept {
   return block_col % nranks;
 }
-
-/// Phase 1 of block step k; call only as owner_of(k).
-void panel_phase(const SharedState& s, std::size_t k);
-
-/// Phase 2 of block step k for `rank`'s owned block columns. Requires the
-/// panel phase of step k to have completed.
-void update_phase(const SharedState& s, std::size_t rank, std::size_t k);
 
 /// Child-process entry point: pins the kernel policy to one inline thread
 /// (a forked child must never touch the parent's executor pool), signals

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "abft/abft_lu.hpp"
 #include "abft/blas.hpp"
 
@@ -76,6 +78,29 @@ TEST(AbftLu, ChecksumInvariantHoldsAtEveryStepBoundary) {
     });
     EXPECT_EQ(boundaries, lu.block_steps());
   }
+}
+
+// checksum_residual() runs the shared parallel sweep on kernel_policy()'s
+// threads; fixed per-row slots and a serial max-fold make it bitwise
+// identical for every thread count. The shape is large enough for the sweep
+// to leave its inline path, and a rank kill makes the residuals differ
+// between rows.
+TEST(AbftLu, ChecksumResidualIsBitwiseAcrossThreadCounts) {
+  const std::size_t nb = 16, n = 384;  // 24 block steps, 128×384 accumulators
+  AbftLu lu(test_matrix(n), nb, ProcessGrid{3, 2});
+  std::size_t nonzero = 0;
+  lu.factor({{9, 4}}, [&](std::size_t steps_done) {
+    double res[2];
+    for (const unsigned threads : {1u, 4u}) {
+      const abft::KernelPolicyGuard guard({abft::KernelPath::blocked, threads});
+      res[threads == 1u ? 0 : 1] = lu.checksum_residual();
+    }
+    EXPECT_EQ(std::memcmp(&res[0], &res[1], sizeof(double)), 0)
+        << "after step " << steps_done << ": " << res[0] << " vs " << res[1];
+    EXPECT_LT(res[0], 1e-6);
+    nonzero += res[0] > 0.0 ? 1 : 0;
+  });
+  EXPECT_GT(nonzero, 0u);  // the comparison saw rounding, not only zeros
 }
 
 TEST(AbftLu, SolvesLinearSystems) {

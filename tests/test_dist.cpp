@@ -244,14 +244,16 @@ struct LocalizationFixture {
     wfrozen = abft::Matrix::zeros(active.rows(), n);
   }
 
-  [[nodiscard]] Localization locate() const {
-    return locate_corruption(a.view(), active.view(), frozen.view(),
-                             wactive.view(), wfrozen.view(), nb, group, 0);
+  [[nodiscard]] Localization locate() {
+    return locate_corruption(
+        abft::LuView{a.view(), active.view(), frozen.view(), wactive.view(),
+                     wfrozen.view(), nb, group},
+        0);
   }
 };
 
 TEST(LocateCorruption, CleanStateNamesNothing) {
-  const LocalizationFixture fx;
+  LocalizationFixture fx;
   const Localization loc = fx.locate();
   EXPECT_FALSE(loc.ambiguous);
   EXPECT_TRUE(loc.sites.empty());
@@ -689,9 +691,9 @@ TEST(DistLauncher, SnapshotsHoldTheArenaAtTheirBoundary) {
       for (std::size_t region = 1; region < 6; ++region)
         values[region] = values_of<double>(blob.regions[region].payload);
       const auto view = [&](std::size_t region, std::size_t rows) {
-        return abft::ConstMatrixView(values[region].data(), rows, n, n);
+        return abft::MatrixView(values[region].data(), rows, n, n);
       };
-      const abft::ConstMatrixView a = view(1, n);
+      const abft::MatrixView a = view(1, n);
       if (b == 0) {
         const abft::Matrix* want[] = {&a0, &cs0, nullptr, &wcs0, nullptr};
         for (std::size_t region = 1; region < 6; ++region) {
@@ -712,8 +714,9 @@ TEST(DistLauncher, SnapshotsHoldTheArenaAtTheirBoundary) {
         }
       }
       const Localization loc = locate_corruption(
-          a, view(2, csr), view(3, csr), view(4, csr), view(5, csr), nb,
-          cfg.group, b);
+          abft::LuView{a, view(2, csr), view(3, csr), view(4, csr),
+                       view(5, csr), nb, cfg.group},
+          b);
       EXPECT_FALSE(loc.ambiguous) << spec << " boundary " << b;
       EXPECT_TRUE(loc.sites.empty()) << spec << " boundary " << b;
     }
